@@ -4,9 +4,16 @@ Subcommands: ``eval`` (single function value), ``periods`` (half-period
 table), ``invariants`` (invariant pairs and midpoint values), ``table``
 (CSV grid of function values), ``verify`` (identity suite, JSON report).
 
+The real-axis functions take their cheapest production route: ``d`` is
+the real part of ``dd`` (the Weierstrass product form), and ``table phi``
+inverts the forward integral for the whole grid in one ``phi_many``
+walk.  The quadrature route ``d_real`` is left to the identity suite and
+the tests as the independent check.
+
 Exit codes: 0 success, 1 numerical or verification failure, 2 usage
 error.  The environment variable SIG4_TOL overrides the default
-verification tolerance.
+verification tolerance.  ``verify`` prints its report even when some
+identities failed or raised; it exits 1 then.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import sys
 
 import click
 
-from .dd import d_real, dd, make_context, make_modulus, period_ratio, phi
+from .dd import dd, make_context, make_modulus, period_ratio, phi, phi_many
 from .numerics import ConvergenceError, DomainError, PoleError
 from .weierstrass import Invariants, midpoints, wp
 from .y4 import make_y4_context, y4_minus, y4_plus
@@ -81,6 +88,12 @@ def _require(condition: bool, message: str) -> None:
         raise click.UsageError(message)
 
 
+def _require_real_line(function: str, imag: float, kappa) -> None:
+    """phi and d act on the real line and need a modulus."""
+    _require(kappa is not None, f"{function} requires --kappa")
+    _require(imag == 0.0, f"{function} takes a real argument; got imaginary part")
+
+
 def _evaluate(function: str, z: complex, kappa, lam, g2, g3):
     """Dispatch one evaluation; returns a float, complex, or the string 'pole'."""
     try:
@@ -95,11 +108,10 @@ def _evaluate(function: str, z: complex, kappa, lam, g2, g3):
         if function == "wp":
             _require(g2 is not None and g3 is not None, "wp requires --g2 and --g3")
             return wp(z, Invariants(g2, g3))
-        # phi and d act on the real line
-        _require(kappa is not None, f"{function} requires --kappa")
-        _require(z.imag == 0.0, f"{function} takes a real argument; got imaginary part")
-        mod = make_modulus(kappa)
-        return phi(z.real, mod) if function == "phi" else d_real(z.real, mod)
+        _require_real_line(function, z.imag, kappa)
+        if function == "phi":
+            return phi(z.real, make_modulus(kappa))
+        return dd(z.real, make_context(kappa)).real
     except PoleError:
         return "pole"
 
@@ -199,16 +211,20 @@ def table(function, kappa, lam, g2, g3, start, stop, steps, imag):
     """CSV table of FUNCTION over a grid: re(z), im(z), re(f), im(f)."""
     import csv as _csv
 
+    xs = [start + (stop - start) * k / steps for k in range(steps + 1)]
+    try:
+        if function == "phi":
+            # one continuation walk serves the whole grid
+            _require_real_line(function, imag, kappa)
+            values = phi_many(xs, make_modulus(kappa))
+        else:
+            values = [_evaluate(function, complex(x, imag), kappa, lam, g2, g3) for x in xs]
+    except (DomainError, ConvergenceError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
     writer = _csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["re(z)", "im(z)", "re(f)", "im(f)"])
-    for k in range(steps + 1):
-        x = start + (stop - start) * k / steps
-        z = complex(x, imag)
-        try:
-            value = _evaluate(function, z, kappa, lam, g2, g3)
-        except (DomainError, ConvergenceError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+    for x, value in zip(xs, values):
         if isinstance(value, str):
             writer.writerow([fmt_real(x), fmt_real(imag), "pole", "pole"])
         else:

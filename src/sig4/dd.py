@@ -5,18 +5,20 @@ lam = sqrt(1 - kappa^2):
 
 * the incomplete integral  u(T) = int_0^T 2F1(1/4,3/4;1/2; kappa^2 sin^2 t) dt
   is a strictly increasing bijection of the real line; ``phi`` is its
-  inverse,
+  inverse.  The integrand is evaluated in closed form, sqrt((1+c)/2)/c
+  with c = sqrt(1 - kappa^2 sin^2 t) >= lam,
 * on the real axis  d(u) = cos(arcsin(kappa sin phi(u)))
                         = sqrt(1 - kappa^2 sin^2 phi(u)),
 * the elliptic extension dd of d to the plane satisfies
   (1 - dd)(1/3 + p) = kappa^2 / 2 against the coperiodic Weierstrass
   function p with invariants g2 = (3 lam^2 + 1)/3, g3 = (9 lam^2 - 1)/27,
-  and that product form is how ``dd`` is evaluated.  The real-axis
-  composition stays available as an independent cross-check route.
+  and that product form is how ``dd`` is evaluated, on the real axis too.
+  The real-axis composition ``d_real`` stays available as an independent
+  cross-check route.
 
-The real half-period omega admits three independent computations (series,
-forward integral, singular trigonometric integral), kept separate so they
-can corroborate one another.
+The real half-period omega admits three independent computations (AGM
+closed form, forward integral, singular trigonometric integral), kept
+separate so they can corroborate one another.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .hypergeometric import complete_f, hyp2f1
+from .hypergeometric import complete_f
 from .numerics import ConvergenceError, DomainError, Interval, PoleError, integrate
 from .weierstrass import Invariants, PeriodPair, half_periods, wp
 
@@ -82,11 +84,16 @@ def make_context(kappa: float) -> DDContext:
 
 
 def _integrand(mod: Modulus):
-    k2 = mod.kappa * mod.kappa
+    """2F1(1/4,3/4;1/2; kappa^2 sin^2 t) = sqrt((1+c)/2)/c.
+
+    c = sqrt(1 - kappa^2 sin^2 t) is formed as hypot(lam, kappa cos t),
+    free of cancellation as kappa -> 1.
+    """
+    kappa, lam = mod.kappa, mod.lam
 
     def f(t: float) -> float:
-        s = math.sin(t)
-        return hyp2f1(0.25, 0.75, 0.5, k2 * s * s)
+        c = math.hypot(lam, kappa * math.cos(t))
+        return math.sqrt(0.5 * (1.0 + c)) / c
 
     return f
 
@@ -229,11 +236,11 @@ def _singular_half_period_integral(angle: float, tol: float) -> float:
 def omega_three_ways(mod: Modulus, tol: float = 1e-12) -> tuple[float, float, float]:
     """The real half-period by three independent routes.
 
-    closed:       (pi/2) 2F1(1/4,3/4;1;kappa^2)
+    closed:       (pi/2) 2F1(1/4,3/4;1;kappa^2), by the AGM closed form
     via_integral: the forward integral at pi/2
     via_trig:     sqrt(2) int_0^alpha cos(t/2)/sqrt(cos 2t - cos 2 alpha) dt
     """
-    closed = 0.5 * math.pi * complete_f(mod.kappa ** 2)
+    closed = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
     via_integral = forward_integral(0.5 * math.pi, mod, tol)
     via_trig = math.sqrt(2.0) * _singular_half_period_integral(mod.alpha, tol)
     return closed, via_integral, via_trig
@@ -243,14 +250,18 @@ def omega_prime(mod: Modulus, tol: float = 1e-12) -> float:
     """Magnitude of the imaginary half-period.
 
     Computed as 2 int_0^beta cos(t/2)/sqrt(cos 2t - cos 2 beta) dt; it
-    also equals (pi/sqrt2) 2F1(1/4,3/4;1;lam^2), and the AGM route in
+    also equals (pi/sqrt2) 2F1(1/4,3/4;1;lam^2), that is
+    (pi/sqrt2) complete_f(lam, kappa), and the lattice route in
     ``half_periods`` gives the same number.
     """
     return 2.0 * _singular_half_period_integral(mod.beta, tol)
 
 
 def period_ratio(mod: Modulus) -> complex:
-    """Lattice shape parameter: i sqrt(2) F(lam^2)/F(kappa^2), purely imaginary."""
+    """Lattice shape parameter: i sqrt(2) F(lam^2)/F(kappa^2), purely imaginary.
+
+    F(x^2) = 2F1(1/4,3/4;1;x^2) comes from the AGM closed form ``complete_f``.
+    """
     return complex(
-        0.0, math.sqrt(2.0) * complete_f(mod.lam ** 2) / complete_f(mod.kappa ** 2)
+        0.0, math.sqrt(2.0) * complete_f(mod.lam, mod.kappa) / complete_f(mod.kappa, mod.lam)
     )

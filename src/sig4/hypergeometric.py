@@ -1,15 +1,26 @@
-"""Gauss hypergeometric series 2F1 on the real interval [0, 1).
+"""The Gauss function 2F1 at the two signature-four parameter triples.
 
-Only the plain power series is implemented; the parameter triples this
-package instantiates, (1/4, 3/4; 1/2) and (1/4, 3/4; 1), never need an
-argument near 1, so no transformation formulas are required.
+Both values the package needs have closed forms, and production code
+uses only those:
+
+* 2F1(1/4, 3/4; 1/2; sin^2 z) = cos(z/2)/cos(z)  (``f_half_closed``; the
+  forward integral of ``dd`` takes it as sqrt((1+c)/2)/c with c = cos z),
+* 2F1(1/4, 3/4; 1; k^2) = 1/AGM(sqrt(1+k), sqrt(1-k))  (``complete_f``),
+  by the quadratic transformation (DLMF 15.8; Berndt, Bhargava and
+  Garvan, Trans. AMS 347, 1995).
+
+The plain power series ``hyp2f1`` is kept as the independent reference
+the tests hold the closed forms to.  It is no route for the extremes of
+the modulus: kappa -> 1 takes the argument kappa^2 sin^2 t to 1 near
+t = pi/2, and kappa -> 0 takes the complementary argument lam^2 to 1,
+where the series needs thousands of terms or fails to converge.
 """
 
 from __future__ import annotations
 
 import math
 
-from .numerics import ConvergenceError, DomainError, PoleError
+from .numerics import ConvergenceError, DomainError, PoleError, agm
 
 _MAX_TERMS = 20000
 
@@ -63,6 +74,12 @@ def f_half_closed(z: float) -> float:
     return math.cos(0.5 * z) / cz
 
 
-def complete_f(m: float) -> float:
-    """2F1(1/4, 3/4; 1; m), the complete value entering every period formula."""
-    return hyp2f1(0.25, 0.75, 1.0, m)
+def complete_f(k: float, k_c: float) -> float:
+    """2F1(1/4, 3/4; 1; k^2), the complete value entering every period formula.
+
+    Takes the modulus ``k`` in [0, 1) and its complement
+    ``k_c = sqrt(1 - k^2)``, not m = k^2: sqrt(1 - k) is formed as
+    k_c/sqrt(1 + k), which keeps full relative accuracy as k -> 1.
+    """
+    s = math.sqrt(1.0 + k)
+    return 1.0 / agm(s, k_c / s)

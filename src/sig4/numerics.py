@@ -1,12 +1,13 @@
 """Shared numeric kernels.
 
-Three scalar building blocks used throughout the package:
+Four scalar building blocks used throughout the package:
 
 * tanh-sinh (double-exponential) quadrature, tolerant of inverse
   square-root endpoint singularities,
 * a safeguarded bracketed root finder,
 * the depressed cubic ``4 t^3 - g2 t - g3`` solved by the trigonometric
-  (Viete) method for the three-real-root regime.
+  (Viete) method for the three-real-root regime,
+* the arithmetic-geometric mean, behind every complete elliptic value.
 
 Everything here is a pure function over value types and safe for
 concurrent use.
@@ -198,3 +199,12 @@ def solve_depressed_cubic(g2: float, g3: float) -> tuple[float, float, float]:
     shift = (roots[0] + roots[1] + roots[2]) / 3.0  # re-center to exact zero sum
     roots = sorted((r - shift for r in roots), reverse=True)
     return roots[0], roots[1], roots[2]
+
+
+def agm(a: float, b: float) -> float:
+    """Arithmetic-geometric mean of two positive numbers."""
+    for _ in range(60):
+        if abs(a - b) <= 4e-16 * abs(a):
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)

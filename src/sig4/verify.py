@@ -7,6 +7,8 @@ Weierstrass functions, the Moebius bridge between dd and y4_plus, period
 transfers, and the quartic initial-value solver reproducing both function
 families.  ``run_suite`` samples the relevant fundamental cells, records
 the worst residual per identity, and assembles a deterministic report.
+An identity whose runner raises a numerical error becomes a failed row
+that names the error; the remaining identities still run.
 
 Sampling uses a self-contained 64-bit linear congruential generator
 (state' = state * 6364136223846793005 + 1442695040888963407 mod 2^64,
@@ -21,6 +23,7 @@ import time
 from dataclasses import dataclass
 
 from .dd import DDContext, dd, make_context, phi_many
+from .hypergeometric import complete_f
 from .numerics import DomainError, PoleError
 from .quartic import QuarticCoefficients, cubinvariant, quadrinvariant, solve_quartic_ivp
 from .weierstrass import PeriodPair, wp
@@ -55,13 +58,29 @@ class Lcg64:
 
 @dataclass
 class IdentityCheck:
-    """Outcome of one identity: worst residual over its samples."""
+    """Outcome of one identity: worst residual over its samples.
+
+    A runner that raised leaves ``max_residual`` None, ``passed`` False
+    and the exception, as 'TypeName: message', in ``error``.
+    """
 
     name: str
     samples: int
-    max_residual: float
+    max_residual: float | None
     tolerance: float
     passed: bool
+    error: str | None = None
+
+    def to_json_dict(self) -> dict:
+        row = {
+            "name": self.name,
+            "samples": self.samples,
+            "max_residual": self.max_residual,
+            "passed": self.passed,
+        }
+        if self.error is not None:
+            row["error"] = self.error
+        return row
 
 
 @dataclass
@@ -81,15 +100,7 @@ class VerificationReport:
             "kappa": self.kappa,
             "seed": self.seed,
             "tol": self.tol,
-            "checks": [
-                {
-                    "name": c.name,
-                    "samples": c.samples,
-                    "max_residual": c.max_residual,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [c.to_json_dict() for c in self.checks],
             "wall_time_ms": self.wall_time_ms,
         }
 
@@ -229,13 +240,14 @@ def _run_omega_trig_vs_series(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg6
 
 
 def _run_omega_prime_routes(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+    """|omega'| by the trigonometric integral, the AGM closed form and the lattice."""
     from .dd import omega_prime
-    from .hypergeometric import complete_f
 
-    quad = omega_prime(ctx.modulus, tol=1e-13)
-    series = math.pi / math.sqrt(2.0) * complete_f(ctx.modulus.lam ** 2)
-    agm = ctx.periods.half_imag_mag
-    return 1, max(abs(quad - series), abs(quad - agm))
+    mod = ctx.modulus
+    quad = omega_prime(mod, tol=1e-13)
+    closed = math.pi / math.sqrt(2.0) * complete_f(mod.lam, mod.kappa)
+    lattice = ctx.periods.half_imag_mag
+    return 1, max(abs(quad - closed), abs(quad - lattice))
 
 
 def _y4_quartic_rhs(y: complex, lam2: float) -> complex:
@@ -298,15 +310,12 @@ def _run_y4_zero_start(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     """The zero-shifted translate solves the quartic equation with y(0) = 0."""
     from .y4 import y4_zero_ivp_solution
 
-    zero, _ = y4_zeros_poles(yctx)
     pp = yctx.periods
-    half = 0.5 * pp.half_real
-    # pole set of the translate, expressed in the shifted coordinate
-    avoid = (
-        complex(0.0, -pp.half_imag_mag),
-        complex(-pp.half_real, -pp.half_imag_mag),
-        complex(0.0, pp.half_imag_mag),
-        complex(-pp.half_real, pp.half_imag_mag),
+    # pole images of the translate in the sampled cell, in the shifted coordinate
+    avoid = tuple(
+        complex(sr * pp.half_real, si * pp.half_imag_mag)
+        for sr in (-1.0, 0.0, 1.0)
+        for si in (-1.0, 1.0)
     )
     lam2 = yctx.lam ** 2
 
@@ -427,7 +436,10 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
 
     Deterministic: one LCG stream seeded with ``seed`` is consumed by the
     checks in registry order, so identical inputs give bit-identical
-    residuals.
+    residuals.  A runner that raises ArithmeticError, ValueError or
+    RuntimeError (which covers PoleError, DomainError and
+    ConvergenceError) is recorded as a failed check with its error, and
+    the run goes on; only a context that cannot be built aborts it.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be at least 1")
@@ -446,7 +458,12 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
     rng = Lcg64(seed)
     checks = []
     for name, runner in REGISTRY:
-        samples, worst = runner(ctx, yctx, n_samples, rng)
+        try:
+            samples, worst = runner(ctx, yctx, n_samples, rng)
+        except (ArithmeticError, ValueError, RuntimeError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            checks.append(IdentityCheck(name, 0, None, tol, False, error))
+            continue
         checks.append(IdentityCheck(name, samples, worst, tol, worst <= tol))
     elapsed_ms = (time.perf_counter() - start) * 1e3
     return VerificationReport(kappa, seed, tol, checks, elapsed_ms)

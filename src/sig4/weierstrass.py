@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numerics import DomainError, PoleError, solve_depressed_cubic
+from .numerics import DomainError, PoleError, agm, solve_depressed_cubic
 
 _N_COEFFS = 13   # Laurent coefficients c_2 .. c_13
 _POLE_TOL = 1e-12
@@ -73,17 +73,9 @@ def midpoints(inv: Invariants) -> MidpointTriple:
     return MidpointTriple(e1, e2, e3)
 
 
-def _agm(a: float, b: float) -> float:
-    for _ in range(60):
-        if abs(a - b) <= 4e-16 * abs(a):
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
-
-
 def _complete_k(m: float) -> float:
     """Complete elliptic integral K(m) by the arithmetic-geometric mean."""
-    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m)))
+    return math.pi / (2.0 * agm(1.0, math.sqrt(1.0 - m)))
 
 
 def half_periods(inv: Invariants) -> PeriodPair:

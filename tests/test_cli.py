@@ -1,0 +1,103 @@
+"""The Click front end: exit codes, the real-axis tables and the periods near kappa = 1."""
+
+import json
+
+import mpmath
+import pytest
+from click.testing import CliRunner
+
+import sig4.verify as verify
+from sig4.cli import main
+from sig4.dd import d_real, make_modulus, phi
+from sig4.numerics import ConvergenceError
+
+
+def _invoke(args, env=None):
+    return CliRunner().invoke(main, args, env=env)
+
+
+def _table(function, kappa, start, stop, steps):
+    result = _invoke(["table", function, "--kappa", repr(kappa), "--from", repr(start),
+                      "--to", repr(stop), "--steps", str(steps)])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[0] == "re(z),im(z),re(f),im(f)"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert len(rows) == steps + 1
+    return rows
+
+
+@pytest.mark.parametrize("kappa", [0.9999, 0.999999])
+def test_periods_near_one(kappa):
+    result = _invoke(["periods", "--kappa", repr(kappa)])
+    assert result.exit_code == 0, result.output
+    values = dict(line.split(" = ") for line in result.output.splitlines())
+    with mpmath.workdps(30):
+        omega = mpmath.pi / 2 * mpmath.hyp2f1(0.25, 0.75, 1, mpmath.mpf(kappa) ** 2)
+        assert abs(float(values["omega"]) / omega - 1) <= 1e-12
+
+
+def test_table_phi_matches_scalar_phi():
+    mod = make_modulus(0.5)
+    for x, y, re_f, im_f in _table("phi", 0.5, -3.0, 7.0, 20):
+        assert y == 0.0 and im_f == 0.0
+        assert abs(re_f - phi(x, mod)) <= 1e-11
+
+
+def test_table_d_matches_quadrature_route():
+    mod = make_modulus(0.5)
+    for x, y, re_f, im_f in _table("d", 0.5, -3.0, 7.0, 20):
+        assert y == 0.0 and im_f == 0.0
+        assert abs(re_f - d_real(x, mod)) <= 1e-9
+
+
+def test_eval_d_is_real_part_of_dd():
+    result = _invoke(["eval", "d", "--kappa", "0.5", "--z", "1.3"])
+    assert result.exit_code == 0
+    assert abs(float(result.output) - d_real(1.3, make_modulus(0.5))) <= 1e-9
+
+
+@pytest.mark.parametrize("function", ["phi", "d"])
+def test_real_line_usage_errors(function):
+    off_axis = _invoke(["table", function, "--kappa", "0.5", "--from", "0", "--to", "1",
+                        "--steps", "2", "--imag", "0.5"])
+    assert off_axis.exit_code == 2
+    assert "takes a real argument" in off_axis.output
+    no_kappa = _invoke(["table", function, "--from", "0", "--to", "1", "--steps", "2"])
+    assert no_kappa.exit_code == 2
+    assert f"{function} requires --kappa" in no_kappa.output
+
+
+def test_non_numeric_sig4_tol_is_usage_error():
+    result = _invoke(["verify", "--kappa", "0.5", "--n", "2"], env={"SIG4_TOL": "tight"})
+    assert result.exit_code == 2
+    assert "SIG4_TOL is not a number" in result.output
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-8"])
+def test_non_positive_tol_is_usage_error(tol):
+    result = _invoke(["verify", "--kappa", "0.5", "--n", "2", "--tol", tol])
+    assert result.exit_code == 2
+    assert "tolerance must be positive" in result.output
+
+
+def test_verify_passes_at_extreme_kappa():
+    result = _invoke(["verify", "--kappa", "0.999999"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert [c["name"] for c in report["checks"]] == list(verify.REGISTRY_NAMES)
+    assert all(c["passed"] for c in report["checks"])
+
+
+def test_verify_prints_report_when_an_identity_raises(monkeypatch):
+    def broken(ctx, yctx, n, rng):
+        raise ConvergenceError("walk stalled")
+
+    registry = ((verify.REGISTRY[0][0], broken),) + verify.REGISTRY[1:]
+    monkeypatch.setattr(verify, "REGISTRY", registry)
+    result = _invoke(["verify", "--kappa", "0.5", "--n", "20"])
+    assert result.exit_code == 1
+    report = json.loads(result.output)
+    first, rest = report["checks"][0], report["checks"][1:]
+    assert first["error"] == "ConvergenceError: walk stalled" and not first["passed"]
+    assert len(rest) == 13 and all(c["passed"] for c in rest)

@@ -3,9 +3,11 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from sig4.dd import (
+    _integrand,
     d_real,
     dd,
     forward_integral,
@@ -17,6 +19,7 @@ from sig4.dd import (
     phi,
     phi_many,
 )
+from sig4.hypergeometric import hyp2f1
 from sig4.numerics import DomainError, PoleError
 from sig4.weierstrass import wp
 
@@ -73,6 +76,24 @@ class TestForwardIntegral:
     def test_strictly_increasing(self, ctx):
         values = [forward_integral(t, ctx.modulus) for t in (0.0, 0.5, 1.3, 2.0, 3.3)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("kappa", [1e-3, 0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-6])
+    def test_at_half_pi_against_mpmath(self, kappa):
+        # at 1 - 1e-6 the error, ~4e-12, comes from lam = sqrt(1 - kappa^2) in make_modulus
+        with mpmath.workdps(30):
+            omega = mpmath.pi / 2 * mpmath.hyp2f1(0.25, 0.75, 1, mpmath.mpf(kappa) ** 2)
+            assert abs(forward_integral(0.5 * math.pi, make_modulus(kappa)) - omega) <= 1e-11
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9, 0.99])
+    def test_closed_integrand_matches_series(self, kappa):
+        # where the series is accurate, kappa^2 sin^2 t <= 0.9
+        f = _integrand(make_modulus(kappa))
+        for i in range(64):
+            t = 0.05 * i
+            x = (kappa * math.sin(t)) ** 2
+            if x <= 0.9:
+                series = hyp2f1(0.25, 0.75, 0.5, x)
+                assert abs(f(t) - series) <= 1e-13 * series
 
 
 class TestPhi:

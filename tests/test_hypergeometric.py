@@ -1,7 +1,8 @@
-"""2F1 series against the explicit Pochhammer oracle and the closed form."""
+"""2F1 series against the explicit Pochhammer oracle; closed forms against series and mpmath."""
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,17 +33,17 @@ def test_oracle_freeze():
 
 def test_empty_product():
     assert hyp2f1(0.25, 0.75, 0.5, 0.0) == 1.0
-    assert complete_f(0.0) == 1.0
+    assert complete_f(0.0, 1.0) == 1.0
 
 
 def test_series_values():
     assert hyp2f1(0.25, 0.75, 1.0, 0.36) == pytest.approx(F_ONE_036, abs=1e-14)
     assert hyp2f1(0.25, 0.75, 1.0, 0.64) == pytest.approx(F_ONE_064, abs=1e-14)
-    assert complete_f(0.36) == pytest.approx(F_ONE_036, abs=1e-14)
+    assert complete_f(0.6, 0.8) == pytest.approx(F_ONE_036, abs=1e-14)
 
 
 def test_omega_from_complete_value():
-    omega = 0.5 * math.pi * complete_f(0.36)
+    omega = 0.5 * math.pi * complete_f(0.6, 0.8)
     assert abs(omega - 1.7048753139729174) < 1e-13
 
 
@@ -96,3 +97,15 @@ def test_truncation_stability(x):
     long = _pochhammer_oracle(0.25, 0.75, 1.0, x, 1200)
     assert abs(long - short) <= 1e-14 * abs(long)
     assert abs(hyp2f1(0.25, 0.75, 1.0, x) - long) <= 1e-13 * abs(long)
+
+
+@pytest.mark.parametrize("k", [1e-4, 1e-3, 0.5, 0.99, 0.9999, 1.0 - 1e-6])
+def test_complete_f_against_mpmath(k):
+    # the AGM closed form takes the modulus and its complement, in either order
+    k_c = math.sqrt((1.0 - k) * (1.0 + k))
+    with mpmath.workdps(40):
+        m = mpmath.mpf(k) ** 2
+        ref = mpmath.hyp2f1(0.25, 0.75, 1, m)
+        ref_c = mpmath.hyp2f1(0.25, 0.75, 1, 1 - m)
+        assert abs(complete_f(k, k_c) / ref - 1) <= 1e-15
+        assert abs(complete_f(k_c, k) / ref_c - 1) <= 1e-15
