@@ -14,16 +14,18 @@ from .numerics import (
     Interval,
     PoleError,
     UnsupportedLatticeError,
-    find_root,
     integrate,
     solve_depressed_cubic,
 )
 from .hypergeometric import complete_f, f_half_closed, hyp2f1
 from .weierstrass import (
     Invariants,
+    Lattice,
     MidpointTriple,
     PeriodPair,
+    build_lattice,
     half_periods,
+    lattice,
     lattice_reduce,
     midpoints,
     wp,
@@ -75,63 +77,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConvergenceError",
-    "DEFAULT_TOL",
-    "DomainError",
-    "Interval",
-    "PoleError",
-    "UnsupportedLatticeError",
-    "find_root",
-    "integrate",
-    "solve_depressed_cubic",
-    "complete_f",
-    "f_half_closed",
-    "hyp2f1",
-    "Invariants",
-    "MidpointTriple",
-    "PeriodPair",
-    "half_periods",
-    "lattice_reduce",
-    "midpoints",
-    "wp",
-    "wp_prime",
-    "wp_quarter_values",
-    "DDContext",
-    "Modulus",
-    "d_real",
-    "dd",
-    "forward_integral",
-    "make_context",
-    "make_modulus",
-    "omega_prime",
-    "omega_three_ways",
-    "period_ratio",
-    "phi",
-    "phi_many",
-    "Y4Context",
-    "chebyshev_t4",
-    "make_y4_context",
-    "y4_minus",
-    "y4_plus",
-    "y4_zero_ivp_solution",
-    "y4_zeros_poles",
-    "QuarticCoefficients",
-    "TaylorShift",
-    "cubinvariant",
-    "quadrinvariant",
-    "recentered",
-    "solve_quartic_ivp",
-    "taylor_shift",
-    "IdentityCheck",
-    "Lcg64",
-    "REGISTRY_NAMES",
-    "VerificationReport",
-    "check_ddy4",
-    "check_final_remark",
-    "check_ooOO",
-    "check_pP",
-    "run_suite",
-    "__version__",
-]

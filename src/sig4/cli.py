@@ -28,7 +28,7 @@ import click
 
 from .dd import dd, make_context, make_modulus, period_ratio, phi, phi_many
 from .numerics import ConvergenceError, DomainError, PoleError
-from .weierstrass import Invariants, midpoints, wp
+from .weierstrass import Invariants, wp
 from .y4 import make_y4_context, y4_minus, y4_plus
 from .verify import run_suite
 
@@ -154,15 +154,16 @@ def periods(kappa, as_csv):
         ctx = make_context(kappa)
         yctx = make_y4_context(ctx.modulus.lam)
         ratio_dd = period_ratio(ctx.modulus)
-        ratio_y4 = complex(0.0, yctx.periods.half_imag_mag / yctx.periods.half_real)
     except (DomainError, ConvergenceError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    pp, ypp = ctx.lattice.periods, yctx.lattice.periods
+    ratio_y4 = complex(0.0, ypp.half_imag_mag / ypp.half_real)
     rows = [
-        ("omega", fmt_real(ctx.periods.half_real)),
-        ("omega_prime_mag", fmt_real(ctx.periods.half_imag_mag)),
-        ("Omega", fmt_real(yctx.periods.half_real)),
-        ("Omega_prime_mag", fmt_real(yctx.periods.half_imag_mag)),
+        ("omega", fmt_real(pp.half_real)),
+        ("omega_prime_mag", fmt_real(pp.half_imag_mag)),
+        ("Omega", fmt_real(ypp.half_real)),
+        ("Omega_prime_mag", fmt_real(ypp.half_imag_mag)),
         ("ratio_dd", fmt_complex(ratio_dd)),
         ("ratio_y4", fmt_complex(ratio_y4)),
     ]
@@ -181,18 +182,18 @@ def invariants(kappa):
     try:
         ctx = make_context(kappa)
         yctx = make_y4_context(ctx.modulus.lam)
-        mid = midpoints(ctx.invariants)
-        ymid = midpoints(yctx.invariants)
     except (DomainError, ConvergenceError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    click.echo(f"g2 = {fmt_real(ctx.invariants.g2)}")
-    click.echo(f"g3 = {fmt_real(ctx.invariants.g3)}")
-    click.echo(f"discriminant = {fmt_real(ctx.invariants.discriminant)}")
+    inv, mid = ctx.lattice.invariants, ctx.lattice.roots
+    yinv, ymid = yctx.lattice.invariants, yctx.lattice.roots
+    click.echo(f"g2 = {fmt_real(inv.g2)}")
+    click.echo(f"g3 = {fmt_real(inv.g3)}")
+    click.echo(f"discriminant = {fmt_real(inv.discriminant)}")
     click.echo(f"midpoints = {fmt_real(mid.e1)}, {fmt_real(mid.e2)}, {fmt_real(mid.e3)}")
-    click.echo(f"G2 = {fmt_real(yctx.invariants.g2)}")
-    click.echo(f"G3 = {fmt_real(yctx.invariants.g3)}")
-    click.echo(f"Discriminant = {fmt_real(yctx.invariants.discriminant)}")
+    click.echo(f"G2 = {fmt_real(yinv.g2)}")
+    click.echo(f"G3 = {fmt_real(yinv.g3)}")
+    click.echo(f"Discriminant = {fmt_real(yinv.discriminant)}")
     click.echo(f"Midpoints = {fmt_real(ymid.e1)}, {fmt_real(ymid.e2)}, {fmt_real(ymid.e3)}")
 
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .hypergeometric import complete_f
 from .numerics import ConvergenceError, DomainError, Interval, PoleError, integrate
-from .weierstrass import Invariants, PeriodPair, half_periods, wp
+from .weierstrass import Invariants, Lattice, MidpointTriple, build_lattice, wp
 
 _PHI_TOL = 1e-12
 
@@ -52,7 +52,7 @@ class Modulus:
 def make_modulus(kappa: float) -> Modulus:
     if not (0.0 < kappa < 1.0):
         raise DomainError(f"modulus must lie in (0, 1), got {kappa}")
-    lam = math.sqrt(1.0 - kappa * kappa)
+    lam = math.sqrt((1.0 - kappa) * (1.0 + kappa))
     alpha = math.asin(kappa)
     return Modulus(kappa, lam, alpha, 0.5 * math.pi - alpha)
 
@@ -62,25 +62,23 @@ class DDContext:
     """Everything needed to evaluate dd at one modulus."""
 
     modulus: Modulus
-    invariants: Invariants
-    periods: PeriodPair
+    lattice: Lattice
 
 
 @lru_cache(maxsize=128)
 def make_context(kappa: float) -> DDContext:
-    """Assemble modulus, invariants and half-periods for ``kappa``.
+    """Modulus and p-lattice for ``kappa``, from the closed-form roots.
 
-    Validates the discriminant identity g2^3 - 27 g3^2 = kappa^4 lam^2.
+    e = ((1 + 3 lam)/6, (1 - 3 lam)/6, -1/3), so e1 - e2 = lam,
+    e1 - e3 = (1 + lam)/2 and e2 - e3 = kappa^2/(2 (1 + lam)).
     """
     mod = make_modulus(kappa)
-    lam2 = mod.lam * mod.lam
+    lam = mod.lam
+    lam2 = lam * lam
     inv = Invariants((3.0 * lam2 + 1.0) / 3.0, (9.0 * lam2 - 1.0) / 27.0)
-    expected = kappa ** 4 * lam2
-    if abs(inv.discriminant - expected) > 1e-12:
-        raise DomainError(
-            f"discriminant {inv.discriminant:.17g} deviates from kappa^4 lam^2 {expected:.17g}"
-        )
-    return DDContext(mod, inv, half_periods(inv))
+    roots = MidpointTriple((1.0 + 3.0 * lam) / 6.0, (1.0 - 3.0 * lam) / 6.0, -1.0 / 3.0)
+    gaps = (lam, 0.5 * (1.0 + lam), kappa * kappa / (2.0 * (1.0 + lam)))
+    return DDContext(mod, build_lattice(inv, roots, *gaps))
 
 
 def _integrand(mod: Modulus):
@@ -133,8 +131,13 @@ class _PhiWalker:
     def __init__(self, mod: Modulus, tol: float = _PHI_TOL):
         self._f = _integrand(mod)
         self._tol = tol
-        self._T = 0.0
-        self._u = 0.0
+        self.omega = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
+        # Start on the integrand's peak, u(pi/2) = omega.  Newton steps
+        # heading away from the peak undershoot, so no step has to
+        # integrate across the 1/lam spike, which near kappa = 1 is
+        # sharper than the quadrature's tolerance can resolve.
+        self._T = 0.5 * math.pi
+        self._u = self.omega
 
     def seek(self, target: float) -> float:
         f, tol = self._f, self._tol
@@ -165,29 +168,35 @@ def phi(u: float, mod: Modulus, tol: float = _PHI_TOL) -> float:
     to [0, 2 omega) before Newton iteration, so the solve always starts
     inside one monotone branch.
     """
-    two_omega = 2.0 * make_context(mod.kappa).periods.half_real
-    wraps = math.floor(u / two_omega)
     walker = _PhiWalker(mod, tol)
+    two_omega = 2.0 * walker.omega
+    wraps = math.floor(u / two_omega)
     return walker.seek(u - wraps * two_omega) + wraps * math.pi
 
 
 def phi_many(us: Sequence[float], mod: Modulus, tol: float = _PHI_TOL) -> list[float]:
-    """phi at many points, sharing one continuation walk.
+    """phi at many points, sharing two continuation walks.
 
     Far cheaper than repeated ``phi`` on dense grids: arguments are
-    reduced by quasi-periodicity, visited in increasing order, and the
-    walker advances incrementally between neighbours.
+    reduced by quasi-periodicity and sorted; one walker climbs from the
+    start (pi/2, omega) through the arguments above omega, another
+    descends through those below, each advancing incrementally between
+    neighbours.
     """
-    two_omega = 2.0 * make_context(mod.kappa).periods.half_real
+    up, down = _PhiWalker(mod, tol), _PhiWalker(mod, tol)
+    two_omega = 2.0 * up.omega
     reduced = []
     for i, u in enumerate(us):
         wraps = math.floor(u / two_omega)
         reduced.append((u - wraps * two_omega, wraps, i))
     reduced.sort()
     out = [0.0] * len(reduced)
-    walker = _PhiWalker(mod, tol)
     for u0, wraps, i in reduced:
-        out[i] = walker.seek(u0) + wraps * math.pi
+        if u0 >= up.omega:
+            out[i] = up.seek(u0) + wraps * math.pi
+    for u0, wraps, i in reversed(reduced):
+        if u0 < up.omega:
+            out[i] = down.seek(u0) + wraps * math.pi
     return out
 
 
@@ -208,7 +217,7 @@ def dd(z: complex, ctx: DDContext) -> complex:
     where 1/3 + p vanishes, are poles of dd.
     """
     try:
-        p = wp(z, ctx.invariants)
+        p = wp(z, ctx.lattice)
     except PoleError:
         return complex(1.0)
     denom = 1.0 / 3.0 + p
@@ -251,8 +260,8 @@ def omega_prime(mod: Modulus, tol: float = 1e-12) -> float:
 
     Computed as 2 int_0^beta cos(t/2)/sqrt(cos 2t - cos 2 beta) dt; it
     also equals (pi/sqrt2) 2F1(1/4,3/4;1;lam^2), that is
-    (pi/sqrt2) complete_f(lam, kappa), and the lattice route in
-    ``half_periods`` gives the same number.
+    (pi/sqrt2) complete_f(lam, kappa), and the lattice route,
+    ``make_context(kappa).lattice.periods``, gives the same number.
     """
     return 2.0 * _singular_half_period_integral(mod.beta, tol)
 

@@ -1,10 +1,9 @@
 """Shared numeric kernels.
 
-Four scalar building blocks used throughout the package:
+Three scalar building blocks used throughout the package:
 
 * tanh-sinh (double-exponential) quadrature, tolerant of inverse
   square-root endpoint singularities,
-* a safeguarded bracketed root finder,
 * the depressed cubic ``4 t^3 - g2 t - g3`` solved by the trigonometric
   (Viete) method for the three-real-root regime,
 * the arithmetic-geometric mean, behind every complete elliptic value.
@@ -44,7 +43,7 @@ class UnsupportedLatticeError(DomainError):
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed integration/bracketing interval with ``lo < hi``."""
+    """Closed integration interval with ``lo < hi``."""
 
     lo: float
     hi: float
@@ -137,47 +136,6 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TO
         f"quadrature did not reach tol={tol:g} after level {_MAX_LEVEL} "
         f"(last refinement moved {err:.3e})"
     )
-
-
-def find_root(f: Callable[[float], float], bracket: Interval, tol: float = DEFAULT_TOL) -> float:
-    """Return ``x`` in ``bracket`` with ``|f(x)| <= tol``.
-
-    Requires a sign change over the bracket.  Secant steps are taken when
-    they fall inside the current bracket, bisection otherwise, so the
-    bracket always contains the root.
-    """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    lo, hi = bracket.lo, bracket.hi
-    flo, fhi = f(lo), f(hi)
-    if abs(flo) <= tol:
-        return lo
-    if abs(fhi) <= tol:
-        return hi
-    if flo * fhi > 0.0:
-        raise DomainError(f"no sign change on [{lo}, {hi}]: f={flo:g}, {fhi:g}")
-
-    for _ in range(200):
-        # secant proposal, clamped into the open bracket
-        denom = fhi - flo
-        x = hi - fhi * (hi - lo) / denom if denom != 0.0 else 0.5 * (lo + hi)
-        margin = 0.125 * (hi - lo)
-        if not (lo + 1e-3 * margin < x < hi - 1e-3 * margin):
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if abs(fx) <= tol:
-            return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
-            # bracket exhausted at machine resolution
-            best = lo if abs(flo) <= abs(fhi) else hi
-            if abs(f(best)) <= tol:
-                return best
-            raise ConvergenceError(f"bracket collapsed before |f| <= {tol:g}")
-    raise ConvergenceError("root iteration limit exceeded")
 
 
 def solve_depressed_cubic(g2: float, g3: float) -> tuple[float, float, float]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .numerics import DomainError, PoleError, UnsupportedLatticeError
-from .weierstrass import Invariants, wp
+from .weierstrass import Invariants, lattice, wp
 
 _ROOT_RTOL = 1e-10
 
@@ -127,7 +127,8 @@ def solve_quartic_ivp(
 
     The p-function pole at 0 is the removable point where the solution
     takes its initial value.  Invariants with non-positive discriminant
-    fall outside the rectangular-lattice machinery and are rejected.
+    fall outside the rectangular-lattice machinery and are rejected; the
+    others get their lattice, roots by Viete, once.
     """
     shift = taylor_shift(q, w0)
     inv = Invariants(quadrinvariant(q), cubinvariant(q))
@@ -135,12 +136,13 @@ def solve_quartic_ivp(
         raise UnsupportedLatticeError(
             f"invariant discriminant {inv.discriminant:g} is not positive"
         )
+    lat = lattice(inv)
     offset = 0.5 * shift.A2   # = f''(w0)/24
     residue = shift.A3        # = f'(w0)/4
 
     def solution(z: complex) -> complex:
         try:
-            p = wp(z, inv)
+            p = wp(z, lat)
         except PoleError:
             return complex(w0)
         denom = p - offset

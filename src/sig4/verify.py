@@ -22,19 +22,21 @@ import math
 import time
 from dataclasses import dataclass
 
-from .dd import DDContext, dd, make_context, phi_many
+from .dd import DDContext, dd, make_context, omega_prime, omega_three_ways, phi_many
 from .hypergeometric import complete_f
 from .numerics import DomainError, PoleError
-from .quartic import QuarticCoefficients, cubinvariant, quadrinvariant, solve_quartic_ivp
-from .weierstrass import PeriodPair, wp
-from .y4 import Y4Context, make_y4_context, y4_minus, y4_plus, y4_zeros_poles
+from .quartic import QuarticCoefficients, solve_quartic_ivp
+from .weierstrass import PeriodPair, wp, wp_prime
+from .y4 import (
+    Y4Context,
+    make_y4_context,
+    y4_minus,
+    y4_plus,
+    y4_zero_ivp_solution,
+    y4_zeros_poles,
+)
 
 _MARGIN_FRAC = 0.05   # pole-avoidance margin, fraction of the shortest half-period
-# Step for the fourth-order stencil on the complex ODE residuals.  A plain
-# second-order difference bottoms out near 1.5e-8 close to the sampling
-# margin (h^2 truncation grows like |y|^6, evaluation jitter like |y|^3/h);
-# the five-point stencil at 1e-4 keeps both terms under 1e-9.
-_FD_STEP = 1e-4
 _FD_STEP_REAL = 1e-5  # step for the real-axis equation of d
 
 
@@ -126,7 +128,7 @@ def check_pP(z: complex, kappa: float) -> float:
     """|P(z) + 4 p(2iz)|: the quarter-turn relation between the lattices."""
     ctx = make_context(kappa)
     yctx = make_y4_context(ctx.modulus.lam)
-    return abs(wp(z, yctx.invariants) + 4.0 * wp(2j * z, ctx.invariants))
+    return abs(wp(z, yctx.lattice) + 4.0 * wp(2j * z, ctx.lattice))
 
 
 def check_ddy4(z: complex, kappa: float) -> float:
@@ -144,8 +146,9 @@ def check_ooOO(kappa: float) -> tuple[float, float]:
     """Period transfer residuals: |omega - 2|Omega'|| and ||omega'| - 2 Omega|."""
     ctx = make_context(kappa)
     yctx = make_y4_context(ctx.modulus.lam)
-    res1 = abs(ctx.periods.half_real - 2.0 * yctx.periods.half_imag_mag)
-    res2 = abs(ctx.periods.half_imag_mag - 2.0 * yctx.periods.half_real)
+    pp, ypp = ctx.lattice.periods, yctx.lattice.periods
+    res1 = abs(pp.half_real - 2.0 * ypp.half_imag_mag)
+    res2 = abs(pp.half_imag_mag - 2.0 * ypp.half_real)
     return res1, res2
 
 
@@ -186,7 +189,7 @@ def _sampled_max(n, rng, pp, avoid, residual_at):
 def _run_d_ode(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     """(d')^2 = 2 (1-d)(d^2 - lam^2) on the real axis, d' by central difference."""
     mod = ctx.modulus
-    omega = ctx.periods.half_real
+    omega = ctx.lattice.periods.half_real
     h = _FD_STEP_REAL
     us = []
     while len(us) < n:
@@ -216,68 +219,63 @@ def _run_d_ode(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
 def _run_dd_wp_product(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     """(1 - dd)(1/3 + p) = kappa^2 / 2 over the cell."""
     half_k2 = 0.5 * ctx.modulus.kappa ** 2
-    pp = ctx.periods
+    pp = ctx.lattice.periods
     poles = (complex(0.0, pp.half_imag_mag), complex(0.0, -pp.half_imag_mag))
 
     def residual(z: complex) -> float:
-        return abs((1.0 - dd(z, ctx)) * (1.0 / 3.0 + wp(z, ctx.invariants)) - half_k2)
+        return abs((1.0 - dd(z, ctx)) * (1.0 / 3.0 + wp(z, ctx.lattice)) - half_k2)
 
     return _sampled_max(n, rng, pp, poles, residual)
 
 
 def _run_omega_trig_vs_forward(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
-    from .dd import omega_three_ways
-
     _, via_integral, via_trig = omega_three_ways(ctx.modulus, tol=1e-13)
     return 1, abs(via_trig - via_integral)
 
 
 def _run_omega_trig_vs_series(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
-    from .dd import omega_three_ways
-
     closed, _, via_trig = omega_three_ways(ctx.modulus, tol=1e-13)
     return 1, abs(via_trig - closed)
 
 
 def _run_omega_prime_routes(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     """|omega'| by the trigonometric integral, the AGM closed form and the lattice."""
-    from .dd import omega_prime
-
     mod = ctx.modulus
     quad = omega_prime(mod, tol=1e-13)
     closed = math.pi / math.sqrt(2.0) * complete_f(mod.lam, mod.kappa)
-    lattice = ctx.periods.half_imag_mag
+    lattice = ctx.lattice.periods.half_imag_mag
     return 1, max(abs(quad - closed), abs(quad - lattice))
 
 
-def _y4_quartic_rhs(y: complex, lam2: float) -> complex:
+def _y4_ode_residual(y: complex, z: complex, yctx: Y4Context) -> float:
+    """Relative residual of (y')^2 = 8y^4 - 8y^2 + 2 lam^2, for y = y4_plus(z).
+
+    y' comes from the chain rule through p': y = mu (1 + 4 kappa/(P - c))
+    gives y' = -4 kappa mu P'/(P - c)^2, and with P - c = 4 kappa mu/(y - mu)
+    that is y' = -P' (y - mu)^2 / (4 kappa mu).
+    """
+    mu = yctx.mu_plus
+    deriv = -wp_prime(z, yctx.lattice) * (y - mu) ** 2 / (4.0 * yctx.kappa * mu)
     y2 = y * y
-    return 8.0 * y2 * y2 - 8.0 * y2 + 2.0 * lam2
-
-
-def _stencil_derivative(f, z: complex, h: float) -> complex:
-    """Fourth-order five-point derivative of ``f`` at ``z``."""
-    return (8.0 * (f(z + h) - f(z - h)) - (f(z + 2 * h) - f(z - 2 * h))) / (12.0 * h)
+    rhs = 8.0 * y2 * y2 - 8.0 * y2 + 2.0 * yctx.lam ** 2
+    return abs(deriv * deriv - rhs) / (1.0 + abs(y) ** 4)
 
 
 def _run_y4_ode(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
-    """(y')^2 = 8y^4 - 8y^2 + 2 lam^2 for y4_plus, derivative by differencing."""
-    pp = yctx.periods
+    """(y')^2 = 8y^4 - 8y^2 + 2 lam^2 for y4_plus, y' through p'."""
+    pp = yctx.lattice.periods
     half = 0.5 * pp.half_real
     poles = (complex(half, 0.0), complex(-half, 0.0))
-    lam2 = yctx.lam ** 2
 
     def residual(z: complex) -> float:
-        y0 = y4_plus(z, yctx)
-        deriv = _stencil_derivative(lambda w: y4_plus(w, yctx), z, _FD_STEP)
-        return abs(deriv * deriv - _y4_quartic_rhs(y0, lam2)) / (1.0 + abs(y0) ** 4)
+        return _y4_ode_residual(y4_plus(z, yctx), z, yctx)
 
     return _sampled_max(n, rng, pp, poles, residual)
 
 
 def _run_y4_shifts(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     """Half-period shifts: +Omega negates, +Omega' swaps to the mu_minus branch."""
-    pp = yctx.periods
+    pp = yctx.lattice.periods
     hr, hi = pp.half_real, pp.half_imag_mag
     half = 0.5 * hr
     avoid = tuple(
@@ -302,27 +300,23 @@ def _run_y4_zero_pole(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     zero, pole = y4_zeros_poles(yctx)
     r_zero = abs(y4_plus(zero, yctx))
     pole_value = 4.0 / 3.0 + 2.0 * yctx.kappa
-    r_pole = abs(wp(pole, yctx.invariants) - pole_value)
+    r_pole = abs(wp(pole, yctx.lattice) - pole_value)
     return 2, max(r_zero, r_pole)
 
 
 def _run_y4_zero_start(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     """The zero-shifted translate solves the quartic equation with y(0) = 0."""
-    from .y4 import y4_zero_ivp_solution
-
-    pp = yctx.periods
+    pp = yctx.lattice.periods
+    zero, _ = y4_zeros_poles(yctx)
     # pole images of the translate in the sampled cell, in the shifted coordinate
     avoid = tuple(
         complex(sr * pp.half_real, si * pp.half_imag_mag)
         for sr in (-1.0, 0.0, 1.0)
         for si in (-1.0, 1.0)
     )
-    lam2 = yctx.lam ** 2
 
     def residual(z: complex) -> float:
-        y0 = y4_zero_ivp_solution(z, yctx)
-        deriv = _stencil_derivative(lambda w: y4_zero_ivp_solution(w, yctx), z, _FD_STEP)
-        return abs(deriv * deriv - _y4_quartic_rhs(y0, lam2)) / (1.0 + abs(y0) ** 4)
+        return _y4_ode_residual(y4_zero_ivp_solution(z, yctx), z + zero, yctx)
 
     samples, worst = _sampled_max(n, rng, pp, avoid, residual)
     worst = max(worst, abs(y4_zero_ivp_solution(0.0, yctx)))
@@ -332,20 +326,20 @@ def _run_y4_zero_start(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
 def _run_wp_quarter_turn(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     """P(z) = -4 p(2iz), plus the exact invariant scaling (2i)^4, (2i)^6."""
     kappa = ctx.modulus.kappa
-    inv, yinv = ctx.invariants, yctx.invariants
+    inv, yinv = ctx.lattice.invariants, yctx.lattice.invariants
     scale_res = max(abs(16.0 * inv.g2 - yinv.g2), abs(-64.0 * inv.g3 - yinv.g3))
 
     def residual(z: complex) -> float:
         return check_pP(z, kappa)
 
-    samples, worst = _sampled_max(n, rng, yctx.periods, (), residual)
+    samples, worst = _sampled_max(n, rng, yctx.lattice.periods, (), residual)
     return samples, max(worst, scale_res)
 
 
 def _run_dd_y4_bridge(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     """dd(2iz) = 1 + kappa (y4p - mu)/(y4p + mu) away from the branch pole."""
     kappa = ctx.modulus.kappa
-    pp = yctx.periods
+    pp = yctx.lattice.periods
     half = 0.5 * pp.half_real
     avoid = (
         complex(half, 0.0),
@@ -381,8 +375,9 @@ def _run_quartic_ivp_dd(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     lam = ctx.modulus.lam
     q = dd_equation_quartic(lam)
     solution, inv = solve_quartic_ivp(q, 1.0)
-    inv_res = max(abs(inv.g2 - ctx.invariants.g2), abs(inv.g3 - ctx.invariants.g3))
-    pp = ctx.periods
+    ref = ctx.lattice.invariants
+    inv_res = max(abs(inv.g2 - ref.g2), abs(inv.g3 - ref.g3))
+    pp = ctx.lattice.periods
     poles = (complex(0.0, pp.half_imag_mag), complex(0.0, -pp.half_imag_mag))
 
     def residual(z: complex) -> float:
@@ -397,8 +392,9 @@ def _run_quartic_ivp_y4(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     """General quartic solver applied to the Chebyshev equation reproduces y4_plus."""
     q = y4_equation_quartic(yctx.lam)
     solution, inv = solve_quartic_ivp(q, yctx.mu_plus)
-    inv_res = max(abs(inv.g2 - yctx.invariants.g2), abs(inv.g3 - yctx.invariants.g3))
-    pp = yctx.periods
+    ref = yctx.lattice.invariants
+    inv_res = max(abs(inv.g2 - ref.g2), abs(inv.g3 - ref.g3))
+    pp = yctx.lattice.periods
     half = 0.5 * pp.half_real
     poles = (complex(half, 0.0), complex(-half, 0.0))
 

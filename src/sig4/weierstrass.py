@@ -12,6 +12,11 @@ imaginary one.  Evaluation anywhere in the complex plane proceeds by
 
 This is self-contained and uniformly accurate over the cell; theta-based
 evaluation is deliberately out of scope.
+
+Everything an evaluation reads (invariants, sorted roots, half-periods,
+Laurent coefficients) sits in one frozen ``Lattice``, built once.  The dd
+and y4 lattices are built from their closed-form roots; bare invariants
+get theirs from the cubic by Viete, once, in the cached ``lattice``.
 """
 
 from __future__ import annotations
@@ -73,34 +78,55 @@ def midpoints(inv: Invariants) -> MidpointTriple:
     return MidpointTriple(e1, e2, e3)
 
 
-def _complete_k(m: float) -> float:
-    """Complete elliptic integral K(m) by the arithmetic-geometric mean."""
-    return math.pi / (2.0 * agm(1.0, math.sqrt(1.0 - m)))
+def _complete_k(m_c: float) -> float:
+    """Complete elliptic integral K(m) by the AGM, given m_c = 1 - m."""
+    return math.pi / (2.0 * agm(1.0, math.sqrt(m_c)))
 
 
-def half_periods(inv: Invariants) -> PeriodPair:
-    """Half-periods from the midpoint values.
+@dataclass(frozen=True)
+class Lattice:
+    """One rectangular lattice, computed once: what every p evaluation reads.
+
+    ``coeffs`` are the Laurent coefficients c_0 .. c_13 (c_0 = c_1 = 0) of
+    p = 1/z^2 + sum c_k z^(2k-2).
+    """
+
+    invariants: Invariants
+    roots: MidpointTriple
+    periods: PeriodPair
+    coeffs: tuple[float, ...]
+
+
+def build_lattice(
+    inv: Invariants, roots: MidpointTriple, d12: float, d13: float, d23: float
+) -> Lattice:
+    """Lattice from its invariants, sorted roots and the differences e_i - e_j.
 
     half_real = K(m)/sqrt(e1-e3) and half_imag_mag = K(1-m)/sqrt(e1-e3)
-    with m = (e2-e3)/(e1-e3); K by AGM, relative error ~1e-15.
+    with m = (e2-e3)/(e1-e3), 1 - m = (e1-e2)/(e1-e3); each is formed as a
+    ratio of differences, so a closed-form triple keeps full relative
+    accuracy as two roots merge.  K by AGM, relative error ~1e-15.
     """
-    e = midpoints(inv)
-    root = math.sqrt(e.e1 - e.e3)
-    m = (e.e2 - e.e3) / (e.e1 - e.e3)
-    return PeriodPair(_complete_k(m) / root, _complete_k(1.0 - m) / root)
-
-
-@lru_cache(maxsize=512)
-def _lattice(inv: Invariants) -> tuple[MidpointTriple, PeriodPair, tuple[float, ...]]:
-    """Midpoints, periods and Laurent coefficients, cached per invariants."""
-    mid = midpoints(inv)
-    periods = half_periods(inv)
+    root = math.sqrt(d13)
+    periods = PeriodPair(_complete_k(d12 / d13) / root, _complete_k(d23 / d13) / root)
     c = [0.0] * (_N_COEFFS + 1)
     c[2] = inv.g2 / 20.0
     c[3] = inv.g3 / 28.0
     for k in range(4, _N_COEFFS + 1):
         c[k] = 3.0 / ((2 * k + 1) * (k - 3)) * sum(c[m] * c[k - m] for m in range(2, k - 1))
-    return mid, periods, tuple(c)
+    return Lattice(inv, roots, periods, tuple(c))
+
+
+@lru_cache(maxsize=512)
+def lattice(inv: Invariants) -> Lattice:
+    """Lattice of bare invariants, its roots by Viete (``midpoints``); cached."""
+    e = midpoints(inv)
+    return build_lattice(inv, e, e.e1 - e.e2, e.e1 - e.e3, e.e2 - e.e3)
+
+
+def half_periods(inv: Invariants) -> PeriodPair:
+    """Half-periods of the lattice of ``inv``; see ``build_lattice``."""
+    return lattice(inv).periods
 
 
 def lattice_reduce(z: complex, pp: PeriodPair) -> complex:
@@ -130,17 +156,23 @@ def _series_pair(z: complex, coeffs: tuple[float, ...]) -> tuple[complex, comple
     return p, dp
 
 
-def _duplicate(p: complex, dp: complex, g2: float, g3: float) -> tuple[complex, complex]:
-    # p(2z) = -2p + (p'')^2 / (4 p'^2) with p'' = 6p^2 - g2/2, p'^2 the cubic
-    second = 6.0 * p * p - 0.5 * g2
-    cubic = 4.0 * p ** 3 - g2 * p - g3
-    p2 = -2.0 * p + second * second / (4.0 * cubic)
+def _duplicate(p: complex, dp: complex, e: MidpointTriple) -> tuple[complex, complex]:
+    # p(2z) = -2p + (p'')^2 / (4 p'^2), with p'^2 = 4(p-e1)(p-e2)(p-e3) and
+    # p'' = 2 sum (p-ei)(p-ej) taken from the roots: no cancellation near a root
+    a, b, c = p - e.e1, p - e.e2, p - e.e3
+    second = 2.0 * (a * b + a * c + b * c)
+    p2 = -2.0 * p + second * second / (16.0 * a * b * c)
     dp2 = -dp + second * (12.0 * p * dp * dp - second * second) / (4.0 * dp ** 3)
     return p2, dp2
 
 
-def _wp_pair(z: complex, inv: Invariants) -> tuple[complex, complex]:
-    _, periods, coeffs = _lattice(inv)
+def _resolve(lat: Lattice | Invariants) -> Lattice:
+    return lattice(lat) if isinstance(lat, Invariants) else lat
+
+
+def _wp_pair(z: complex, lat: Lattice | Invariants) -> tuple[complex, complex]:
+    lat = _resolve(lat)
+    periods = lat.periods
     zr = lattice_reduce(z, periods)
     if abs(zr) < _POLE_TOL:
         raise PoleError(f"p-function pole: argument within {_POLE_TOL:g} of the lattice")
@@ -149,29 +181,29 @@ def _wp_pair(z: complex, inv: Invariants) -> tuple[complex, complex]:
     while abs(zr) >= threshold:
         zr *= 0.5
         halvings += 1
-    p, dp = _series_pair(zr, coeffs)
+    p, dp = _series_pair(zr, lat.coeffs)
     for _ in range(halvings):
-        p, dp = _duplicate(p, dp, inv.g2, inv.g3)
+        p, dp = _duplicate(p, dp, lat.roots)
     return p, dp
 
 
-def wp(z: complex, inv: Invariants) -> complex:
-    """Weierstrass p at ``z`` for the given invariants."""
-    return _wp_pair(z, inv)[0]
+def wp(z: complex, lat: Lattice | Invariants) -> complex:
+    """Weierstrass p at ``z`` on a lattice, or on the lattice of bare invariants."""
+    return _wp_pair(z, lat)[0]
 
 
-def wp_prime(z: complex, inv: Invariants) -> complex:
+def wp_prime(z: complex, lat: Lattice | Invariants) -> complex:
     """Derivative p' at ``z``; vanishes at the half-period points."""
-    return _wp_pair(z, inv)[1]
+    return _wp_pair(z, lat)[1]
 
 
-def wp_quarter_values(inv: Invariants) -> tuple[float, float]:
+def wp_quarter_values(lat: Lattice | Invariants) -> tuple[float, float]:
     """p at half of the real half-period, and at that point plus the imaginary one.
 
     Closed forms in the midpoint values:
         p(half_real/2)          = e1 + sqrt((e1-e2)(e1-e3))
         p(half_real/2 + imag)   = e1 - sqrt((e1-e2)(e1-e3))
     """
-    e = midpoints(inv)
+    e = _resolve(lat).roots
     root = math.sqrt((e.e1 - e.e2) * (e.e1 - e.e3))
     return e.e1 + root, e.e1 - root

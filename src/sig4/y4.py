@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .numerics import DomainError, PoleError
-from .weierstrass import Invariants, PeriodPair, half_periods, wp
+from .weierstrass import Invariants, Lattice, MidpointTriple, build_lattice, wp
 
 _POLE_TOL = 1e-12
 
@@ -36,36 +36,41 @@ def chebyshev_t4(t: float) -> float:
 
 @dataclass(frozen=True)
 class Y4Context:
-    """Parameter bundle for one lam: quartic roots, invariants, periods."""
+    """Parameter bundle for one lam: quartic roots and the p-lattice."""
 
     lam: float
     kappa: float
     mu_plus: float
     mu_minus: float
-    invariants: Invariants
-    periods: PeriodPair
+    lattice: Lattice
 
 
 @lru_cache(maxsize=128)
 def make_y4_context(lam: float) -> Y4Context:
+    """Quartic roots and p-lattice for ``lam``, from the closed-form roots.
+
+    E = (4/3, 2 lam - 2/3, -2/3 - 2 lam), so E1 - E2 = 2 kappa^2/(1 + lam),
+    E1 - E3 = 2 (1 + lam) and E2 - E3 = 4 lam.
+    """
     if not (0.0 < lam < 1.0):
         raise DomainError(f"parameter must lie in (0, 1), got {lam}")
-    kappa = math.sqrt(1.0 - lam * lam)
+    kappa = math.sqrt((1.0 - lam) * (1.0 + lam))
     lam2 = lam * lam
     inv = Invariants(16.0 / 3.0 * (1.0 + 3.0 * lam2), 64.0 / 27.0 * (1.0 - 9.0 * lam2))
+    roots = MidpointTriple(4.0 / 3.0, 2.0 * lam - 2.0 / 3.0, -2.0 / 3.0 - 2.0 * lam)
+    gaps = (2.0 * kappa * kappa / (1.0 + lam), 2.0 * (1.0 + lam), 4.0 * lam)
     return Y4Context(
         lam=lam,
         kappa=kappa,
         mu_plus=math.sqrt(0.5 * (1.0 + kappa)),
         mu_minus=math.sqrt(0.5 * (1.0 - kappa)),
-        invariants=inv,
-        periods=half_periods(inv),
+        lattice=build_lattice(inv, roots, *gaps),
     )
 
 
 def _mobius(z: complex, ctx: Y4Context, kappa: float, mu: float) -> complex:
     try:
-        big_p = wp(z, ctx.invariants)
+        big_p = wp(z, ctx.lattice)
     except PoleError:
         return complex(mu)  # removable point: P blows up, bracket tends to 1
     denom = big_p - (4.0 / 3.0 + 2.0 * kappa)
@@ -90,8 +95,9 @@ def y4_zeros_poles(ctx: Y4Context) -> tuple[complex, complex]:
     The zero sits at half_real/2 + imaginary half-period, the pole at
     half_real/2; every zero/pole is congruent to plus-or-minus these.
     """
-    half = 0.5 * ctx.periods.half_real
-    return complex(half, ctx.periods.half_imag_mag), complex(half, 0.0)
+    pp = ctx.lattice.periods
+    half = 0.5 * pp.half_real
+    return complex(half, pp.half_imag_mag), complex(half, 0.0)
 
 
 def y4_zero_ivp_solution(z: complex, ctx: Y4Context) -> complex:

@@ -1,4 +1,4 @@
-"""The Click front end: exit codes, the real-axis tables and the periods near kappa = 1."""
+"""The Click front end: exit codes, the real-axis tables and the periods at both ends."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import sig4.verify as verify
-from sig4.cli import main
+from sig4.cli import main, parse_complex
 from sig4.dd import d_real, make_modulus, phi
 from sig4.numerics import ConvergenceError
 
@@ -27,14 +27,35 @@ def _table(function, kappa, start, stop, steps):
     return rows
 
 
-@pytest.mark.parametrize("kappa", [0.9999, 0.999999])
+@pytest.mark.parametrize("kappa", [1e-4, 1e-3, 0.9999, 0.999999])
 def test_periods_near_one(kappa):
     result = _invoke(["periods", "--kappa", repr(kappa)])
     assert result.exit_code == 0, result.output
     values = dict(line.split(" = ") for line in result.output.splitlines())
     with mpmath.workdps(30):
-        omega = mpmath.pi / 2 * mpmath.hyp2f1(0.25, 0.75, 1, mpmath.mpf(kappa) ** 2)
+        k = mpmath.mpf(kappa)
+        lam = mpmath.sqrt(1 - k * k)
+        omega = mpmath.pi / 2 * mpmath.hyp2f1(0.25, 0.75, 1, k * k)
+        omega_p = mpmath.pi / mpmath.sqrt(2) * mpmath.hyp2f1(0.25, 0.75, 1, lam * lam)
         assert abs(float(values["omega"]) / omega - 1) <= 1e-12
+        # the y4 lattice has half-periods |omega'|/2 and omega/2
+        expected = {
+            "omega": omega, "omega_prime_mag": omega_p,
+            "Omega": omega_p / 2, "Omega_prime_mag": omega / 2,
+            "ratio_dd": 1j * omega_p / omega, "ratio_y4": 1j * omega / omega_p,
+        }
+        for name, ref in expected.items():
+            got = parse_complex(values[name])
+            assert abs(got - complex(ref)) <= 1e-9 * abs(ref), name
+
+
+def test_small_kappa_commands_succeed():
+    # the float discriminant of the dd invariants is exactly 0 here
+    invariants = _invoke(["invariants", "--kappa", "1e-4"])
+    assert invariants.exit_code == 0, invariants.output
+    assert invariants.output.splitlines()[3].startswith("midpoints = ")
+    value = _invoke(["eval", "dd", "--kappa", "1e-4", "--z", "0.7+0.2i"])
+    assert value.exit_code == 0, value.output
 
 
 def test_table_phi_matches_scalar_phi():

@@ -51,11 +51,16 @@ def test_modulus_domain(bad):
 
 
 def test_context_invariants(ctx):
-    assert ctx.invariants.g2 == pytest.approx(0.9733333333333333, abs=1e-15)
-    assert ctx.invariants.g3 == pytest.approx(0.17629629629629628, abs=1e-15)
-    assert ctx.invariants.discriminant == pytest.approx(0.08294400000000002, abs=1e-13)
-    assert ctx.periods.half_real == pytest.approx(OMEGA, abs=1e-12)
-    assert ctx.periods.half_imag_mag == pytest.approx(OMEGA_PRIME, abs=1e-12)
+    inv, pp = ctx.lattice.invariants, ctx.lattice.periods
+    assert inv.g2 == pytest.approx(0.9733333333333333, abs=1e-15)
+    assert inv.g3 == pytest.approx(0.17629629629629628, abs=1e-15)
+    assert inv.discriminant == pytest.approx(0.08294400000000002, abs=1e-13)
+    assert pp.half_real == pytest.approx(OMEGA, abs=1e-12)
+    assert pp.half_imag_mag == pytest.approx(OMEGA_PRIME, abs=1e-12)
+    e = ctx.lattice.roots
+    assert (e.e1, e.e2, e.e3) == pytest.approx(
+        (0.5666666666666667, -0.23333333333333336, -1.0 / 3.0), abs=1e-15
+    )
 
 
 class TestForwardIntegral:
@@ -79,10 +84,9 @@ class TestForwardIntegral:
 
     @pytest.mark.parametrize("kappa", [1e-3, 0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-6])
     def test_at_half_pi_against_mpmath(self, kappa):
-        # at 1 - 1e-6 the error, ~4e-12, comes from lam = sqrt(1 - kappa^2) in make_modulus
         with mpmath.workdps(30):
             omega = mpmath.pi / 2 * mpmath.hyp2f1(0.25, 0.75, 1, mpmath.mpf(kappa) ** 2)
-            assert abs(forward_integral(0.5 * math.pi, make_modulus(kappa)) - omega) <= 1e-11
+            assert abs(forward_integral(0.5 * math.pi, make_modulus(kappa)) - omega) <= 1e-12
 
     @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9, 0.99])
     def test_closed_integrand_matches_series(self, kappa):
@@ -119,6 +123,14 @@ class TestPhi:
         batch = phi_many(us, ctx.modulus)
         for u, got in zip(us, batch):
             assert got == pytest.approx(phi(u, ctx.modulus), abs=1e-10)
+
+    @pytest.mark.parametrize("kappa", [0.9999, 1.0 - 1e-6])
+    def test_scalar_matches_many_near_one(self, kappa):
+        mod = make_modulus(kappa)
+        omega = omega_three_ways(mod)[0]
+        us = [2.0 * omega * i / 40 for i in range(41)]
+        for u, got in zip(us, phi_many(us, mod)):
+            assert abs(phi(u, mod) - got) <= 1e-11
 
     def test_sign_flip_of_sin_phi(self, ctx):
         # sin(phi) switches sign on translation by 2 omega
@@ -183,7 +195,7 @@ class TestDD:
             if abs(z) < 0.1 or abs(z - OMEGA_PRIME * 1j) < 0.1 or abs(z + OMEGA_PRIME * 1j) < 0.1:
                 continue
             count += 1
-            residual = abs((1.0 - dd(z, ctx)) * (1.0 / 3.0 + wp(z, ctx.invariants)) - half_k2)
+            residual = abs((1.0 - dd(z, ctx)) * (1.0 / 3.0 + wp(z, ctx.lattice)) - half_k2)
             assert residual <= 1e-9
 
     def test_periodicity(self, ctx):
@@ -226,7 +238,7 @@ class TestPeriods:
         assert quad == pytest.approx(OMEGA_PRIME, abs=1e-10)
         series = math.pi / math.sqrt(2.0) * 1.199853960107822
         assert abs(quad - series) <= 1e-8
-        assert abs(quad - ctx.periods.half_imag_mag) <= 1e-8
+        assert abs(quad - ctx.lattice.periods.half_imag_mag) <= 1e-8
 
     def test_self_complementary_ratio(self):
         mod = make_modulus(1.0 / math.sqrt(2.0))
@@ -243,5 +255,5 @@ class TestPeriods:
         assert ratio.imag == pytest.approx(1.5634019226961116, abs=1e-12)
         # agrees with the AGM lattice shape
         assert ratio.imag == pytest.approx(
-            ctx.periods.half_imag_mag / ctx.periods.half_real, abs=1e-9
+            ctx.lattice.periods.half_imag_mag / ctx.lattice.periods.half_real, abs=1e-9
         )

@@ -10,7 +10,6 @@ from sig4.numerics import (
     ConvergenceError,
     DomainError,
     Interval,
-    find_root,
     integrate,
     solve_depressed_cubic,
 )
@@ -85,39 +84,6 @@ class TestIntegrate:
         combined = integrate(lambda x: a * f(x) + b * g(x), iv, tol)
         split = a * integrate(f, iv, tol) + b * integrate(g, iv, tol)
         assert abs(combined - split) <= 2.0 * tol * (1.0 + abs(a) + abs(b))
-
-
-class TestFindRoot:
-    def test_linear(self):
-        assert find_root(lambda x: x - 1.0, Interval(0.0, 2.0), 1e-12) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sqrt2(self):
-        root = find_root(lambda x: x * x - 2.0, Interval(1.0, 2.0), 1e-9)
-        assert abs(root - math.sqrt(2.0)) < 1e-9
-
-    def test_no_sign_change_raises(self):
-        with pytest.raises(DomainError):
-            find_root(lambda x: x * x + 1.0, Interval(-1.0, 1.0), 1e-9)
-
-    def test_inverts_forward_integral_at_omega(self):
-        # phi(omega) = pi/2: invert the incomplete integral with the
-        # forward quadrature itself as the oracle
-        from sig4.dd import forward_integral, make_modulus
-
-        mod = make_modulus(0.6)
-        omega = 1.7048753139729174
-        root = find_root(
-            lambda t: forward_integral(t, mod) - omega, Interval(0.1, 3.0), 1e-12
-        )
-        assert abs(root - math.pi / 2.0) < 1e-9
-
-    @settings(max_examples=30, deadline=None)
-    @given(r=st.floats(-0.9, 0.9), scale=st.floats(0.2, 4.0))
-    def test_bracket_containment(self, r, scale):
-        f = lambda x: scale * (x - r) * (1.0 + (x - r) ** 2)
-        root = find_root(f, Interval(-1.0, 1.0), 1e-10)
-        assert -1.0 <= root <= 1.0
-        assert abs(f(root)) <= 1e-10
 
 
 class TestDepressedCubic:

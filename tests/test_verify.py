@@ -21,6 +21,12 @@ def test_all_identities_near_kappa_one(kappa):
     assert [c.name for c in report.checks if not c.passed] == []
 
 
+def test_suite_reports_every_row_at_small_kappa():
+    # at kappa = 1e-4 the float discriminant of the dd invariants is 0
+    report = run_suite(1e-4, 200, 0, 1e-8)
+    assert [c.name for c in report.checks] == list(REGISTRY_NAMES)
+
+
 def test_raising_runner_becomes_failed_row(monkeypatch):
     def broken(ctx, yctx, n, rng):
         raise ConvergenceError("walk stalled")

@@ -124,15 +124,16 @@ class TestWp:
                 rhs = wp(z, Invariants(s4 * INV_DD.g2, s6 * INV_DD.g3)) / gamma ** 2
                 assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
-    def test_derivative_matches_finite_differences(self):
+    @pytest.mark.parametrize("inv", [INV_DD, INV_Y4], ids=["dd", "y4"])
+    def test_derivative_matches_finite_differences(self, inv):
         h = 1e-6
         rng = random.Random(3)
         for _ in range(40):
             z = complex(rng.uniform(-1.2, 1.2), rng.uniform(-0.9, 0.9))
             if abs(z) < 0.15:
                 continue
-            fd = (wp(z + h, INV_DD) - wp(z - h, INV_DD)) / (2.0 * h)
-            assert abs(wp_prime(z, INV_DD) - fd) <= 1e-6 * (1.0 + abs(fd))
+            fd = (wp(z + h, inv) - wp(z - h, inv)) / (2.0 * h)
+            assert abs(wp_prime(z, inv) - fd) <= 1e-6 * (1.0 + abs(fd))
 
 
 def test_wp_prime_vanishes_at_half_periods():

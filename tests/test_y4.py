@@ -39,10 +39,15 @@ def test_context_fields(ctx):
     assert ctx.kappa == pytest.approx(0.6, abs=1e-15)
     assert ctx.mu_plus == pytest.approx(MU_PLUS, abs=1e-15)
     assert ctx.mu_minus == pytest.approx(MU_MINUS, abs=1e-15)
-    assert ctx.invariants.g2 == pytest.approx(15.573333333333332, abs=1e-12)
-    assert ctx.invariants.g3 == pytest.approx(-11.282962962962962, abs=1e-12)
-    assert ctx.periods.half_real == pytest.approx(OMEGA_BIG, abs=1e-12)
-    assert ctx.periods.half_imag_mag == pytest.approx(OMEGA_BIG_PRIME, abs=1e-12)
+    inv, pp = ctx.lattice.invariants, ctx.lattice.periods
+    assert inv.g2 == pytest.approx(15.573333333333332, abs=1e-12)
+    assert inv.g3 == pytest.approx(-11.282962962962962, abs=1e-12)
+    assert pp.half_real == pytest.approx(OMEGA_BIG, abs=1e-12)
+    assert pp.half_imag_mag == pytest.approx(OMEGA_BIG_PRIME, abs=1e-12)
+    e = ctx.lattice.roots
+    assert (e.e1, e.e2, e.e3) == pytest.approx(
+        (4.0 / 3.0, 0.9333333333333333, -2.2666666666666666), abs=1e-15
+    )
 
 
 def test_context_root_identities(ctx):
@@ -67,31 +72,31 @@ class TestY4Values:
         assert y4_minus(0.0, ctx) == complex(ctx.mu_minus)
 
     def test_half_period_values(self, ctx):
-        hr, hi = ctx.periods.half_real, ctx.periods.half_imag_mag
+        hr, hi = ctx.lattice.periods.half_real, ctx.lattice.periods.half_imag_mag
         assert y4_plus(hr, ctx).real == pytest.approx(-MU_PLUS, abs=1e-9)
         assert y4_plus(complex(0.0, hi), ctx).real == pytest.approx(MU_MINUS, abs=1e-9)
         assert y4_plus(complex(hr, hi), ctx).real == pytest.approx(-MU_MINUS, abs=1e-9)
 
     def test_midpoint_values_of_p(self, ctx):
-        hr, hi = ctx.periods.half_real, ctx.periods.half_imag_mag
+        hr, hi = ctx.lattice.periods.half_real, ctx.lattice.periods.half_imag_mag
         lam = ctx.lam
-        assert wp(hr, ctx.invariants).real == pytest.approx(4.0 / 3.0, abs=1e-9)
-        assert wp(complex(hr, hi), ctx.invariants).real == pytest.approx(
+        assert wp(hr, ctx.lattice).real == pytest.approx(4.0 / 3.0, abs=1e-9)
+        assert wp(complex(hr, hi), ctx.lattice).real == pytest.approx(
             -2.0 / 3.0 + 2.0 * lam, abs=1e-9
         )
-        assert wp(complex(0.0, hi), ctx.invariants).real == pytest.approx(
+        assert wp(complex(0.0, hi), ctx.lattice).real == pytest.approx(
             -2.0 / 3.0 - 2.0 * lam, abs=1e-9
         )
 
     def test_pole_raises(self, ctx):
         with pytest.raises(PoleError):
-            y4_plus(0.5 * ctx.periods.half_real, ctx)
+            y4_plus(0.5 * ctx.lattice.periods.half_real, ctx)
 
 
 class TestShiftLaws:
     def test_real_shift_negates(self, ctx):
         rng = random.Random(21)
-        hr = ctx.periods.half_real
+        hr = ctx.lattice.periods.half_real
         for _ in range(30):
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.7, 0.7))
             if abs(z.real) > 0.9 * hr:
@@ -105,7 +110,7 @@ class TestShiftLaws:
 
     def test_imaginary_shift_swaps_branch(self, ctx):
         rng = random.Random(22)
-        hi = ctx.periods.half_imag_mag
+        hi = ctx.lattice.periods.half_imag_mag
         for _ in range(30):
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.7, 0.7))
             try:
@@ -117,7 +122,7 @@ class TestShiftLaws:
 
     def test_both_shifts_negate_minus_branch(self, ctx):
         rng = random.Random(24)
-        hr, hi = ctx.periods.half_real, ctx.periods.half_imag_mag
+        hr, hi = ctx.lattice.periods.half_real, ctx.lattice.periods.half_imag_mag
         for _ in range(30):
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.7, 0.7))
             try:
@@ -128,7 +133,7 @@ class TestShiftLaws:
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(rhs))
 
     def test_minus_at_omega(self, ctx):
-        assert y4_minus(ctx.periods.half_real, ctx).real == pytest.approx(
+        assert y4_minus(ctx.lattice.periods.half_real, ctx).real == pytest.approx(
             -MU_MINUS, abs=1e-9
         )
 
@@ -148,7 +153,7 @@ class TestZerosPoles:
     def test_pole_denominator_value(self, ctx):
         # P at the pole point takes exactly the bracket-busting value 4/3 + 2 kappa
         _, pole = y4_zeros_poles(ctx)
-        assert wp(pole, ctx.invariants).real == pytest.approx(
+        assert wp(pole, ctx.lattice).real == pytest.approx(
             4.0 / 3.0 + 2.0 * ctx.kappa, abs=1e-10
         )
 
@@ -181,7 +186,7 @@ class TestZeroStartSolution:
             assert abs(deriv * deriv - (8 * y2 * y2 - 8 * y2 + 2 * lam2)) <= 1e-7
 
     def test_negative_solution_via_omega_shift(self, ctx):
-        hr = ctx.periods.half_real
+        hr = ctx.lattice.periods.half_real
         for z in (0.2, 0.3 + 0.1j):
             lhs = y4_zero_ivp_solution(z + hr, ctx)
             rhs = -y4_zero_ivp_solution(z, ctx)
@@ -191,7 +196,7 @@ class TestZeroStartSolution:
 def test_double_values_have_zero_derivative(ctx):
     # derivative vanishes where y4_plus takes the quartic-root values
     h = 1e-6
-    hr, hi = ctx.periods.half_real, ctx.periods.half_imag_mag
+    hr, hi = ctx.lattice.periods.half_real, ctx.lattice.periods.half_imag_mag
     for point in (0.0, hr, complex(0.0, hi), complex(hr, hi)):
         deriv = (y4_plus(point + h, ctx) - y4_plus(point - h, ctx)) / (2 * h)
         assert abs(deriv) <= 1e-8
@@ -199,7 +204,7 @@ def test_double_values_have_zero_derivative(ctx):
 
 def test_ode_residual_cell_sweep(ctx):
     rng = random.Random(33)
-    hr, hi = ctx.periods.half_real, ctx.periods.half_imag_mag
+    hr, hi = ctx.lattice.periods.half_real, ctx.lattice.periods.half_imag_mag
     h = 1e-6
     lam2 = ctx.lam ** 2
     margin = 0.05 * min(hr, hi)
