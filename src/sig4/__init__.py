@@ -26,7 +26,6 @@ from .weierstrass import (
     build_lattice,
     half_periods,
     lattice,
-    lattice_reduce,
     midpoints,
     wp,
     wp_prime,

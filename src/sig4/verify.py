@@ -6,9 +6,10 @@ zero/pole locations, the quarter-turn relation between the two
 Weierstrass functions, the Moebius bridge between dd and y4_plus, period
 transfers, and the quartic initial-value solver reproducing both function
 families.  ``run_suite`` samples the relevant fundamental cells, records
-the worst residual per identity, and assembles a deterministic report.
-An identity whose runner raises a numerical error becomes a failed row
-that names the error; the remaining identities still run.
+the worst residual per identity with the sample that gave it and the
+time taken, and assembles a report that is deterministic apart from the
+times.  An identity whose runner raises a numerical error becomes a
+failed row that names the error; the remaining identities still run.
 
 Sampling uses a self-contained 64-bit linear congruential generator
 (state' = state * 6364136223846793005 + 1442695040888963407 mod 2^64,
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dd import DDContext, dd, make_context, omega_prime, omega_three_ways, phi_many
 from .hypergeometric import complete_f
@@ -62,8 +64,11 @@ class Lcg64:
 class IdentityCheck:
     """Outcome of one identity: worst residual over its samples.
 
-    A runner that raised leaves ``max_residual`` None, ``passed`` False
-    and the exception, as 'TypeName: message', in ``error``.
+    ``worst_z`` is the sample that gave ``max_residual``, None when the
+    runner does not sample or its worst residual is not taken at a point;
+    ``elapsed_ms`` is the runner's own time.  A runner that raised leaves
+    ``max_residual`` None, ``passed`` False and the exception, as
+    'TypeName: message', in ``error``.
     """
 
     name: str
@@ -71,14 +76,19 @@ class IdentityCheck:
     max_residual: float | None
     tolerance: float
     passed: bool
+    elapsed_ms: float
+    worst_z: complex | None = None
     error: str | None = None
 
     def to_json_dict(self) -> dict:
+        z = self.worst_z
         row = {
             "name": self.name,
             "samples": self.samples,
             "max_residual": self.max_residual,
+            "worst_z": None if z is None else [z.real, z.imag],
             "passed": self.passed,
+            "elapsed_ms": self.elapsed_ms,
         }
         if self.error is not None:
             row["error"] = self.error
@@ -167,11 +177,27 @@ def check_final_remark(z: complex, kappa: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# per-identity suite runners: (ctx, yctx, n, rng) -> (samples, max residual)
+# per-identity suite runners: SuiteInputs -> (samples, max residual, worst z)
+
+
+class SuiteInputs:
+    """What the runners of one ``run_suite`` call read.
+
+    ``rng`` is one stream that the runners consume in registry order;
+    ``omegas`` is computed on first use and shared by the omega rows.
+    A plain class, not a dataclass: that would add about 1 ms to import.
+    """
+
+    def __init__(self, ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+        self.ctx, self.yctx, self.n, self.rng = ctx, yctx, n, rng
+
+    @cached_property
+    def omegas(self) -> tuple[float, float, float]:
+        return omega_three_ways(self.ctx.modulus, tol=1e-13)
 
 
 def _sampled_max(n, rng, pp, avoid, residual_at):
-    worst = 0.0
+    worst, worst_z = 0.0, None
     for _ in range(n):
         for _attempt in range(128):
             z = _draw(rng, pp, avoid)
@@ -182,18 +208,25 @@ def _sampled_max(n, rng, pp, avoid, residual_at):
             break
         else:
             raise RuntimeError("sampling kept hitting poles; cell misconfigured?")
-        worst = max(worst, r)
-    return n, worst
+        if r >= worst:
+            worst, worst_z = r, z
+    return n, worst, worst_z
 
 
-def _run_d_ode(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+def _with_unplaced(result, residual):
+    """Fold a residual taken at no sample point into a sampled result."""
+    samples, worst, _ = result
+    return (samples, residual, None) if residual > worst else result
+
+
+def _run_d_ode(s: SuiteInputs):
     """(d')^2 = 2 (1-d)(d^2 - lam^2) on the real axis, d' by central difference."""
-    mod = ctx.modulus
-    omega = ctx.lattice.periods.half_real
+    mod = s.ctx.modulus
+    omega = s.ctx.lattice.periods.half_real
     h = _FD_STEP_REAL
     us = []
-    while len(us) < n:
-        u = rng.uniform(-2.0 * omega, 2.0 * omega)
+    while len(us) < s.n:
+        u = s.rng.uniform(-2.0 * omega, 2.0 * omega)
         # keep the difference stencil inside one quasi-period branch
         if abs(u - 2.0 * omega * round(u / (2.0 * omega))) < 1e-3:
             continue
@@ -208,16 +241,19 @@ def _run_d_ode(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     def d_of(p: float) -> float:
         return math.sqrt(1.0 - k2 * math.sin(p) ** 2)
 
-    worst = 0.0
+    worst, worst_z = 0.0, None
     for i in range(0, len(targets), 3):
         dm, d0, dp = d_of(phis[i]), d_of(phis[i + 1]), d_of(phis[i + 2])
         deriv = (dp - dm) / (2.0 * h)
-        worst = max(worst, abs(deriv * deriv - 2.0 * (1.0 - d0) * (d0 * d0 - lam2)))
-    return n, worst
+        r = abs(deriv * deriv - 2.0 * (1.0 - d0) * (d0 * d0 - lam2))
+        if r >= worst:
+            worst, worst_z = r, complex(targets[i + 1])
+    return s.n, worst, worst_z
 
 
-def _run_dd_wp_product(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+def _run_dd_wp_product(s: SuiteInputs):
     """(1 - dd)(1/3 + p) = kappa^2 / 2 over the cell."""
+    ctx = s.ctx
     half_k2 = 0.5 * ctx.modulus.kappa ** 2
     pp = ctx.lattice.periods
     poles = (complex(0.0, pp.half_imag_mag), complex(0.0, -pp.half_imag_mag))
@@ -225,26 +261,26 @@ def _run_dd_wp_product(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     def residual(z: complex) -> float:
         return abs((1.0 - dd(z, ctx)) * (1.0 / 3.0 + wp(z, ctx.lattice)) - half_k2)
 
-    return _sampled_max(n, rng, pp, poles, residual)
+    return _sampled_max(s.n, s.rng, pp, poles, residual)
 
 
-def _run_omega_trig_vs_forward(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
-    _, via_integral, via_trig = omega_three_ways(ctx.modulus, tol=1e-13)
-    return 1, abs(via_trig - via_integral)
+def _run_omega_trig_vs_forward(s: SuiteInputs):
+    _, via_integral, via_trig = s.omegas
+    return 1, abs(via_trig - via_integral), None
 
 
-def _run_omega_trig_vs_series(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
-    closed, _, via_trig = omega_three_ways(ctx.modulus, tol=1e-13)
-    return 1, abs(via_trig - closed)
+def _run_omega_trig_vs_series(s: SuiteInputs):
+    closed, _, via_trig = s.omegas
+    return 1, abs(via_trig - closed), None
 
 
-def _run_omega_prime_routes(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+def _run_omega_prime_routes(s: SuiteInputs):
     """|omega'| by the trigonometric integral, the AGM closed form and the lattice."""
-    mod = ctx.modulus
+    mod = s.ctx.modulus
     quad = omega_prime(mod, tol=1e-13)
     closed = math.pi / math.sqrt(2.0) * complete_f(mod.lam, mod.kappa)
-    lattice = ctx.lattice.periods.half_imag_mag
-    return 1, max(abs(quad - closed), abs(quad - lattice))
+    lattice = s.ctx.lattice.periods.half_imag_mag
+    return 1, max(abs(quad - closed), abs(quad - lattice)), None
 
 
 def _y4_ode_residual(y: complex, z: complex, yctx: Y4Context) -> float:
@@ -261,8 +297,9 @@ def _y4_ode_residual(y: complex, z: complex, yctx: Y4Context) -> float:
     return abs(deriv * deriv - rhs) / (1.0 + abs(y) ** 4)
 
 
-def _run_y4_ode(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+def _run_y4_ode(s: SuiteInputs):
     """(y')^2 = 8y^4 - 8y^2 + 2 lam^2 for y4_plus, y' through p'."""
+    yctx = s.yctx
     pp = yctx.lattice.periods
     half = 0.5 * pp.half_real
     poles = (complex(half, 0.0), complex(-half, 0.0))
@@ -270,11 +307,12 @@ def _run_y4_ode(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     def residual(z: complex) -> float:
         return _y4_ode_residual(y4_plus(z, yctx), z, yctx)
 
-    return _sampled_max(n, rng, pp, poles, residual)
+    return _sampled_max(s.n, s.rng, pp, poles, residual)
 
 
-def _run_y4_shifts(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+def _run_y4_shifts(s: SuiteInputs):
     """Half-period shifts: +Omega negates, +Omega' swaps to the mu_minus branch."""
+    yctx = s.yctx
     pp = yctx.lattice.periods
     hr, hi = pp.half_real, pp.half_imag_mag
     half = 0.5 * hr
@@ -292,20 +330,22 @@ def _run_y4_shifts(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
         r3 = abs(y4_plus(z + complex(hr, hi), yctx) + base_m)
         return max(r1, r2, r3)
 
-    return _sampled_max(n, rng, pp, avoid, residual)
+    return _sampled_max(s.n, s.rng, pp, avoid, residual)
 
 
-def _run_y4_zero_pole(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+def _run_y4_zero_pole(s: SuiteInputs):
     """Zero at half_real/2 + imaginary half-period; pole value of P at half_real/2."""
+    yctx = s.yctx
     zero, pole = y4_zeros_poles(yctx)
     r_zero = abs(y4_plus(zero, yctx))
     pole_value = 4.0 / 3.0 + 2.0 * yctx.kappa
     r_pole = abs(wp(pole, yctx.lattice) - pole_value)
-    return 2, max(r_zero, r_pole)
+    return 2, max(r_zero, r_pole), None
 
 
-def _run_y4_zero_start(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+def _run_y4_zero_start(s: SuiteInputs):
     """The zero-shifted translate solves the quartic equation with y(0) = 0."""
+    yctx = s.yctx
     pp = yctx.lattice.periods
     zero, _ = y4_zeros_poles(yctx)
     # pole images of the translate in the sampled cell, in the shifted coordinate
@@ -318,28 +358,30 @@ def _run_y4_zero_start(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     def residual(z: complex) -> float:
         return _y4_ode_residual(y4_zero_ivp_solution(z, yctx), z + zero, yctx)
 
-    samples, worst = _sampled_max(n, rng, pp, avoid, residual)
-    worst = max(worst, abs(y4_zero_ivp_solution(0.0, yctx)))
-    return samples + 1, worst
+    samples, worst, worst_z = _sampled_max(s.n, s.rng, pp, avoid, residual)
+    at_zero = abs(y4_zero_ivp_solution(0.0, yctx))
+    if at_zero >= worst:
+        worst, worst_z = at_zero, 0j
+    return samples + 1, worst, worst_z
 
 
-def _run_wp_quarter_turn(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+def _run_wp_quarter_turn(s: SuiteInputs):
     """P(z) = -4 p(2iz), plus the exact invariant scaling (2i)^4, (2i)^6."""
-    kappa = ctx.modulus.kappa
-    inv, yinv = ctx.lattice.invariants, yctx.lattice.invariants
+    kappa = s.ctx.modulus.kappa
+    inv, yinv = s.ctx.lattice.invariants, s.yctx.lattice.invariants
     scale_res = max(abs(16.0 * inv.g2 - yinv.g2), abs(-64.0 * inv.g3 - yinv.g3))
 
     def residual(z: complex) -> float:
         return check_pP(z, kappa)
 
-    samples, worst = _sampled_max(n, rng, yctx.lattice.periods, (), residual)
-    return samples, max(worst, scale_res)
+    sampled = _sampled_max(s.n, s.rng, s.yctx.lattice.periods, (), residual)
+    return _with_unplaced(sampled, scale_res)
 
 
-def _run_dd_y4_bridge(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+def _run_dd_y4_bridge(s: SuiteInputs):
     """dd(2iz) = 1 + kappa (y4p - mu)/(y4p + mu) away from the branch pole."""
-    kappa = ctx.modulus.kappa
-    pp = yctx.lattice.periods
+    kappa = s.ctx.modulus.kappa
+    pp = s.yctx.lattice.periods
     half = 0.5 * pp.half_real
     avoid = (
         complex(half, 0.0),
@@ -351,12 +393,12 @@ def _run_dd_y4_bridge(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     def residual(z: complex) -> float:
         return check_ddy4(z, kappa)
 
-    return _sampled_max(n, rng, pp, avoid, residual)
+    return _sampled_max(s.n, s.rng, pp, avoid, residual)
 
 
-def _run_period_transfer(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
-    res1, res2 = check_ooOO(ctx.modulus.kappa)
-    return 2, max(res1, res2)
+def _run_period_transfer(s: SuiteInputs):
+    res1, res2 = check_ooOO(s.ctx.modulus.kappa)
+    return 2, max(res1, res2), None
 
 
 def dd_equation_quartic(lam: float) -> QuarticCoefficients:
@@ -370,10 +412,10 @@ def y4_equation_quartic(lam: float) -> QuarticCoefficients:
     return QuarticCoefficients(8.0, 0.0, -4.0 / 3.0, 0.0, 2.0 * lam * lam)
 
 
-def _run_quartic_ivp_dd(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+def _run_quartic_ivp_dd(s: SuiteInputs):
     """General quartic solver applied to the dd equation reproduces dd."""
-    lam = ctx.modulus.lam
-    q = dd_equation_quartic(lam)
+    ctx = s.ctx
+    q = dd_equation_quartic(ctx.modulus.lam)
     solution, inv = solve_quartic_ivp(q, 1.0)
     ref = ctx.lattice.invariants
     inv_res = max(abs(inv.g2 - ref.g2), abs(inv.g3 - ref.g3))
@@ -383,13 +425,12 @@ def _run_quartic_ivp_dd(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     def residual(z: complex) -> float:
         return abs(solution(z) - dd(z, ctx))
 
-    count = min(n, 50)
-    samples, worst = _sampled_max(count, rng, pp, poles, residual)
-    return samples, max(worst, inv_res)
+    return _with_unplaced(_sampled_max(min(s.n, 50), s.rng, pp, poles, residual), inv_res)
 
 
-def _run_quartic_ivp_y4(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
+def _run_quartic_ivp_y4(s: SuiteInputs):
     """General quartic solver applied to the Chebyshev equation reproduces y4_plus."""
+    yctx = s.yctx
     q = y4_equation_quartic(yctx.lam)
     solution, inv = solve_quartic_ivp(q, yctx.mu_plus)
     ref = yctx.lattice.invariants
@@ -401,9 +442,7 @@ def _run_quartic_ivp_y4(ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
     def residual(z: complex) -> float:
         return abs(solution(z) - y4_plus(z, yctx))
 
-    count = min(n, 50)
-    samples, worst = _sampled_max(count, rng, pp, poles, residual)
-    return samples, max(worst, inv_res)
+    return _with_unplaced(_sampled_max(min(s.n, 50), s.rng, pp, poles, residual), inv_res)
 
 
 #: fixed identity registry: (name, runner), executed and reported in this order
@@ -432,8 +471,8 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
 
     Deterministic: one LCG stream seeded with ``seed`` is consumed by the
     checks in registry order, so identical inputs give bit-identical
-    residuals.  A runner that raises ArithmeticError, ValueError or
-    RuntimeError (which covers PoleError, DomainError and
+    residuals and sample points.  A runner that raises ArithmeticError,
+    ValueError or RuntimeError (which covers PoleError, DomainError and
     ConvergenceError) is recorded as a failed check with its error, and
     the run goes on; only a context that cannot be built aborts it.
     """
@@ -451,15 +490,18 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
     except Exception as exc:
         raise RuntimeError(f"context construction failed at stage 'y4': {exc}") from exc
 
-    rng = Lcg64(seed)
+    suite = SuiteInputs(ctx, yctx, n_samples, Lcg64(seed))
     checks = []
     for name, runner in REGISTRY:
+        began = time.perf_counter()
         try:
-            samples, worst = runner(ctx, yctx, n_samples, rng)
+            samples, worst, worst_z = runner(suite)
+            error = None
         except (ArithmeticError, ValueError, RuntimeError) as exc:
+            samples, worst, worst_z = 0, None, None
             error = f"{type(exc).__name__}: {exc}"
-            checks.append(IdentityCheck(name, 0, None, tol, False, error))
-            continue
-        checks.append(IdentityCheck(name, samples, worst, tol, worst <= tol))
+        elapsed = (time.perf_counter() - began) * 1e3
+        passed = error is None and worst <= tol
+        checks.append(IdentityCheck(name, samples, worst, tol, passed, elapsed, worst_z, error))
     elapsed_ms = (time.perf_counter() - start) * 1e3
     return VerificationReport(kappa, seed, tol, checks, elapsed_ms)

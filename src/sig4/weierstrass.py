@@ -5,18 +5,24 @@ discriminant g2^3 - 27 g3^2, i.e. three distinct real midpoint values and
 a period lattice generated by a positive real period and a purely
 imaginary one.  Evaluation anywhere in the complex plane proceeds by
 
-1. reducing the argument into the centered fundamental cell,
-2. halving it until it is small against the shortest half-period,
-3. summing the truncated Laurent series for p and p' there,
-4. undoing the halvings with the algebraic duplication formula.
+1. rounding the argument to the nearest point of the half-period lattice,
+   which leaves a remainder w with |w| <= sqrt(omega^2 + |omega'|^2)/2;
+2. halving w until it is small against the shortest half-period;
+3. summing the truncated Laurent series for p and p' there, by Horner's
+   rule in w^2, and undoing the halvings with the duplication formula;
+4. adding back a half-period anchor omega_j by the exact addition law
+   p(omega_j + w) = e_j + (e_j - e_k)(e_j - e_l)/(p(w) - e_j) (DLMF 23.10),
+   which yields p - e_j without cancellation near omega_j; an anchor on a
+   full period needs no step 4.
 
 This is self-contained and uniformly accurate over the cell; theta-based
 evaluation is deliberately out of scope.
 
 Everything an evaluation reads (invariants, sorted roots, half-periods,
-Laurent coefficients) sits in one frozen ``Lattice``, built once.  The dd
-and y4 lattices are built from their closed-form roots; bare invariants
-get theirs from the cubic by Viete, once, in the cached ``lattice``.
+Horner coefficients, the halving threshold, the anchor data) sits in one
+frozen ``Lattice``, built once.  The dd and y4 lattices are built from
+their closed-form roots; bare invariants get theirs from the cubic by
+Viete, once, in the cached ``lattice``.
 """
 
 from __future__ import annotations
@@ -87,14 +93,19 @@ def _complete_k(m_c: float) -> float:
 class Lattice:
     """One rectangular lattice, computed once: what every p evaluation reads.
 
-    ``coeffs`` are the Laurent coefficients c_0 .. c_13 (c_0 = c_1 = 0) of
-    p = 1/z^2 + sum c_k z^(2k-2).
+    ``horner`` holds the pairs (c_k, (2k-2) c_k) for k = 13 .. 2, where
+    p = 1/z^2 + sum c_k z^(2k-2).  ``threshold`` is the radius below which
+    the series is summed without halving.  ``anchors`` is indexed by the
+    parities of the nearest half-period point, real bit first: None for a
+    lattice point, else (e_j, F_j) with F_j = (e_j - e_k)(e_j - e_l).
     """
 
     invariants: Invariants
     roots: MidpointTriple
     periods: PeriodPair
-    coeffs: tuple[float, ...]
+    horner: tuple[tuple[float, float], ...]
+    threshold: float
+    anchors: tuple[tuple[float, float] | None, ...]
 
 
 def build_lattice(
@@ -105,7 +116,8 @@ def build_lattice(
     half_real = K(m)/sqrt(e1-e3) and half_imag_mag = K(1-m)/sqrt(e1-e3)
     with m = (e2-e3)/(e1-e3), 1 - m = (e1-e2)/(e1-e3); each is formed as a
     ratio of differences, so a closed-form triple keeps full relative
-    accuracy as two roots merge.  K by AGM, relative error ~1e-15.
+    accuracy as two roots merge.  K by AGM, relative error ~1e-15.  The
+    anchor factors F_j are products of the same differences.
     """
     root = math.sqrt(d13)
     periods = PeriodPair(_complete_k(d12 / d13) / root, _complete_k(d23 / d13) / root)
@@ -113,8 +125,14 @@ def build_lattice(
     c[2] = inv.g2 / 20.0
     c[3] = inv.g3 / 28.0
     for k in range(4, _N_COEFFS + 1):
-        c[k] = 3.0 / ((2 * k + 1) * (k - 3)) * sum(c[m] * c[k - m] for m in range(2, k - 1))
-    return Lattice(inv, roots, periods, tuple(c))
+        acc = 0.0
+        for m in range(2, k - 1):
+            acc += c[m] * c[k - m]
+        c[k] = 3.0 / ((2 * k + 1) * (k - 3)) * acc
+    horner = tuple((c[k], (2 * k - 2) * c[k]) for k in range(_N_COEFFS, 1, -1))
+    threshold = 0.5 * min(periods.half_real, periods.half_imag_mag)
+    anchors = (None, (roots.e1, d12 * d13), (roots.e3, d13 * d23), (roots.e2, -d12 * d23))
+    return Lattice(inv, roots, periods, horner, threshold, anchors)
 
 
 @lru_cache(maxsize=512)
@@ -127,33 +145,6 @@ def lattice(inv: Invariants) -> Lattice:
 def half_periods(inv: Invariants) -> PeriodPair:
     """Half-periods of the lattice of ``inv``; see ``build_lattice``."""
     return lattice(inv).periods
-
-
-def lattice_reduce(z: complex, pp: PeriodPair) -> complex:
-    """Translate ``z`` by full periods into the centered fundamental cell.
-
-    Components land in (-half, half] of the respective full period, so a
-    point congruent to a half-period reduces to the positive half-period.
-    """
-    z = complex(z)
-    pr = 2.0 * pp.half_real
-    pi_ = 2.0 * pp.half_imag_mag
-    mr = math.ceil(z.real / pr - 0.5)
-    mi = math.ceil(z.imag / pi_ - 0.5)
-    return complex(z.real - mr * pr, z.imag - mi * pi_)
-
-
-def _series_pair(z: complex, coeffs: tuple[float, ...]) -> tuple[complex, complex]:
-    # p = 1/z^2 + sum c_k z^(2k-2),  p' = -2/z^3 + sum (2k-2) c_k z^(2k-3)
-    z2 = z * z
-    p = 1.0 / z2
-    dp = -2.0 / (z2 * z)
-    zpow = 1.0 + 0.0j
-    for k in range(2, _N_COEFFS + 1):
-        zpow *= z2
-        p += coeffs[k] * zpow
-        dp += (2 * k - 2) * coeffs[k] * zpow / z
-    return p, dp
 
 
 def _duplicate(p: complex, dp: complex, e: MidpointTriple) -> tuple[complex, complex]:
@@ -172,19 +163,35 @@ def _resolve(lat: Lattice | Invariants) -> Lattice:
 
 def _wp_pair(z: complex, lat: Lattice | Invariants) -> tuple[complex, complex]:
     lat = _resolve(lat)
-    periods = lat.periods
-    zr = lattice_reduce(z, periods)
-    if abs(zr) < _POLE_TOL:
-        raise PoleError(f"p-function pole: argument within {_POLE_TOL:g} of the lattice")
-    threshold = 0.5 * min(periods.half_real, periods.half_imag_mag)
+    hr, hi = lat.periods.half_real, lat.periods.half_imag_mag
+    sr = round(z.real / hr)
+    si = round(z.imag / hi)
+    w = complex(z.real - sr * hr, z.imag - si * hi)
+    anchor = lat.anchors[(sr & 1) | (si & 1) << 1]
+    if anchor is None:
+        if abs(w) < _POLE_TOL:
+            raise PoleError(f"p-function pole: argument within {_POLE_TOL:g} of the lattice")
+    elif w == 0:
+        return complex(anchor[0]), 0j
     halvings = 0
-    while abs(zr) >= threshold:
-        zr *= 0.5
+    while abs(w) >= lat.threshold:
+        w *= 0.5
         halvings += 1
-    p, dp = _series_pair(zr, lat.coeffs)
+    # p = 1/s + s A(s), p' = w B(s) - 2/(s w), s = w^2: Horner over the pairs
+    s = w * w
+    a = b = 0.0
+    for ck, dk in lat.horner:
+        a = a * s + ck
+        b = b * s + dk
+    p = 1.0 / s + s * a
+    dp = w * b - 2.0 / (s * w)
     for _ in range(halvings):
         p, dp = _duplicate(p, dp, lat.roots)
-    return p, dp
+    if anchor is None:
+        return p, dp
+    e, f = anchor
+    q = 1.0 / (p - e)
+    return e + f * q, -f * dp * q * q
 
 
 def wp(z: complex, lat: Lattice | Invariants) -> complex:

@@ -111,7 +111,7 @@ def test_verify_passes_at_extreme_kappa():
 
 
 def test_verify_prints_report_when_an_identity_raises(monkeypatch):
-    def broken(ctx, yctx, n, rng):
+    def broken(suite):
         raise ConvergenceError("walk stalled")
 
     registry = ((verify.REGISTRY[0][0], broken),) + verify.REGISTRY[1:]

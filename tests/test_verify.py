@@ -1,10 +1,13 @@
 """The identity suite: sampling, extreme moduli and the report of a runner that raises."""
 
+import json
+
 import pytest
 
 import sig4.verify as verify
+from sig4.dd import make_context
 from sig4.numerics import ConvergenceError
-from sig4.verify import REGISTRY_NAMES, run_suite
+from sig4.verify import REGISTRY_NAMES, check_ddy4, run_suite
 
 
 @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9])
@@ -28,7 +31,7 @@ def test_suite_reports_every_row_at_small_kappa():
 
 
 def test_raising_runner_becomes_failed_row(monkeypatch):
-    def broken(ctx, yctx, n, rng):
+    def broken(suite):
         raise ConvergenceError("walk stalled")
 
     registry = tuple(
@@ -41,11 +44,58 @@ def test_raising_runner_becomes_failed_row(monkeypatch):
     assert not report.all_passed
     rows = report.to_json_dict()["checks"]
     failed = [row for row in rows if not row["passed"]]
+    assert len(failed) == 1 and failed[0].pop("elapsed_ms") >= 0.0
     assert failed == [{
         "name": "omega-trig-vs-forward",
         "samples": 0,
         "max_residual": None,
+        "worst_z": None,
         "passed": False,
         "error": "ConvergenceError: walk stalled",
     }]
     assert all("error" not in row for row in rows if row["passed"])
+
+
+def _without_times(report) -> str:
+    data = report.to_json_dict()
+    del data["wall_time_ms"]
+    for row in data["checks"]:
+        del row["elapsed_ms"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 0.5])
+def test_equal_inputs_give_identical_reports(kappa):
+    first = run_suite(kappa, 20, 7, 1e-8)
+    assert _without_times(run_suite(kappa, 20, 7, 1e-8)) == _without_times(first)
+    assert all(c.elapsed_ms >= 0.0 for c in first.checks)
+
+
+def test_worst_z_reproduces_the_worst_residual():
+    report = run_suite(0.5, 20, 0, 1e-8)
+    rows = {row["name"]: row for row in report.to_json_dict()["checks"]}
+    sampled = ("dd-wp-product", "y4-shifts", "dd-y4-bridge", "d-ode-real-axis")
+    assert all(rows[name]["worst_z"] is not None for name in sampled)
+    assert all(rows[name]["worst_z"] is None for name in (
+        "omega-trig-vs-forward", "omega-trig-vs-series", "omega-prime-two-routes",
+        "y4-zero-pole", "period-transfer",
+    ))
+    x, y = rows["dd-y4-bridge"]["worst_z"]
+    assert check_ddy4(complex(x, y), 0.5) == rows["dd-y4-bridge"]["max_residual"]
+
+
+def test_omega_routes_computed_once_per_suite(monkeypatch):
+    calls = []
+    original = verify.omega_three_ways
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "omega_three_ways", counted)
+    report = run_suite(0.5, 5, 0, 1e-8)
+    assert len(calls) == 1
+    rows = {c.name: c.max_residual for c in report.checks}
+    closed, via_integral, via_trig = original(make_context(0.5).modulus, tol=1e-13)
+    assert rows["omega-trig-vs-forward"] == abs(via_trig - via_integral)
+    assert rows["omega-trig-vs-series"] == abs(via_trig - closed)

@@ -4,19 +4,20 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
+from sig4.dd import make_context
 from sig4.numerics import DomainError, PoleError
 from sig4.weierstrass import (
     Invariants,
-    PeriodPair,
     half_periods,
-    lattice_reduce,
     midpoints,
     wp,
     wp_prime,
     wp_quarter_values,
 )
+from sig4.y4 import make_y4_context
 
 # invariants of the two lattices at kappa = 0.6 / lam = 0.8
 INV_DD = Invariants(0.9733333333333333, 0.17629629629629628)
@@ -159,26 +160,122 @@ def test_quarter_values_match_direct_evaluation():
 
 
 class TestLatticeReduce:
-    pp = PeriodPair(1.7, 0.9)
+    """wp at far translates of a point, of a lattice point and of each half-period."""
+
+    pp = half_periods(INV_DD)
+    e = midpoints(INV_DD)
 
     def test_full_period_collapses(self):
-        assert abs(lattice_reduce(2 * 1.7, self.pp)) <= 1e-14
+        with pytest.raises(PoleError):
+            wp(complex(6.0 * self.pp.half_real, -4.0 * self.pp.half_imag_mag), INV_DD)
 
     def test_half_period_representative(self):
-        z = lattice_reduce(1.7 + 5 * (2 * 1.7), self.pp)
-        assert z == pytest.approx(1.7 + 0j, abs=1e-12)
+        hr, hi = self.pp.half_real, self.pp.half_imag_mag
+        for z, e in (
+            (complex(11.0 * hr, 0.0), self.e.e1),
+            (complex(-7.0 * hr, 5.0 * hi), self.e.e2),
+            (complex(4.0 * hr, -3.0 * hi), self.e.e3),
+        ):
+            assert wp(z, INV_DD) == pytest.approx(e, abs=1e-13)
+            assert abs(wp_prime(z, INV_DD)) <= 1e-12
 
     def test_imaginary_period_stripped(self):
-        z = lattice_reduce(0.3 + 2j * 0.9, self.pp)
-        assert abs(z - 0.3) <= 1e-14
+        for k in (1, -3, 8):
+            z = 0.3 + 0.1j + 2j * k * self.pp.half_imag_mag
+            assert abs(wp(z, INV_DD) - wp(0.3 + 0.1j, INV_DD)) <= 1e-11
 
     def test_wp_invariant_under_reduction(self):
-        pp = half_periods(INV_DD)
-        for z in (3.7 + 4.1j, -5.0 - 2.3j):
-            reduced = lattice_reduce(z, pp)
-            assert abs(wp(z, INV_DD) - wp(reduced, INV_DD)) <= 1e-11 * (
-                1 + abs(wp(z, INV_DD))
-            )
+        hr, hi = self.pp.half_real, self.pp.half_imag_mag
+        for z in (0.37 + 0.41j, -0.5 - 0.23j, 1.1 + 2.0j):
+            base = wp(z, INV_DD)
+            for mr, mi in ((5, 0), (-4, 3), (12, -9)):
+                far = z + complex(2.0 * mr * hr, 2.0 * mi * hi)
+                assert abs(wp(far, INV_DD) - base) <= 1e-11 * (1 + abs(base))
+
+
+KERNEL_KAPPAS = [1e-4, 1e-3, 0.5, 0.99, 1.0 - 1e-6]
+
+
+def _lattice_and_roots(kind: str, kappa: float):
+    """The float lattice of ``kind`` at ``kappa``, and its roots exact in mp.
+
+    The roots are the closed forms of the float lam each context is built
+    from, so the reference shares the lattice's input but none of its
+    arithmetic.
+    """
+    ctx = make_context(kappa)
+    lat = ctx.lattice if kind == "dd" else make_y4_context(ctx.modulus.lam).lattice
+    with mpmath.workdps(40):
+        lam, third = mpmath.mpf(ctx.modulus.lam), mpmath.mpf(1) / 3
+        if kind == "dd":
+            roots = ((1 + 3 * lam) / 6, (1 - 3 * lam) / 6, -third)
+        else:
+            roots = (4 * third, 2 * lam - 2 * third, -2 * third - 2 * lam)
+    return lat, roots
+
+
+def _wp_reference(roots, z: complex) -> tuple[complex, complex]:
+    """p and p' from the Jacobi form p = e3 + (e1 - e3)/sn^2(sqrt(e1 - e3) z | m)."""
+    with mpmath.workdps(40):
+        e1, e2, e3 = roots
+        gap = e1 - e3
+        root = mpmath.sqrt(gap)
+        u, m = root * mpmath.mpc(z), (e2 - e3) / gap
+        sn, cn, dn = (mpmath.ellipfun(f, u, m) for f in ("sn", "cn", "dn"))
+        return complex(e3 + gap / sn ** 2), complex(-2 * gap * root * cn * dn / sn ** 3)
+
+
+@pytest.mark.parametrize("kind", ["dd", "y4"])
+@pytest.mark.parametrize("kappa", KERNEL_KAPPAS)
+def test_wp_near_half_periods_and_quarter_points_against_mpmath(kind, kappa):
+    lat, roots = _lattice_and_roots(kind, kappa)
+    hr, hi = lat.periods.half_real, lat.periods.half_imag_mag
+    scale = min(hr, hi)
+    halves = (complex(hr, 0.0), complex(hr, hi), complex(0.0, hi))
+    quarters = (
+        complex(0.5 * hr, 0.0), complex(0.0, 0.5 * hi), complex(0.5 * hr, hi),
+        complex(hr, 0.5 * hi), complex(0.5 * hr, 0.5 * hi),
+    )
+    for centre in halves + quarters:
+        for distance in (1e-6, 1e-3, 0.1):
+            for direction in (1.0, 1j, cmath.exp(0.75j * math.pi)):
+                z = centre + distance * scale * direction
+                p, dp = _wp_reference(roots, z)
+                assert abs(wp(z, lat) - p) <= 1e-14 * max(1.0, abs(p)), z
+                assert abs(wp_prime(z, lat) - dp) <= 1e-9 * max(1.0, abs(dp)), z
+
+
+def test_wp_prime_near_half_period_of_nearly_degenerate_lattice():
+    # y4 lattice at kappa = 1e-4: e1 - e2 is 5e-9, and z is 0.013 from the
+    # half-period half_real + 0j
+    lat, roots = _lattice_and_roots("y4", 1e-4)
+    z = -5.632 - 0.010j
+    p, dp = _wp_reference(roots, z)
+    assert abs(wp(z, lat) - p) <= 1e-14 * max(1.0, abs(p))
+    assert abs(wp_prime(z, lat) - dp) <= 1e-9 * max(1.0, abs(dp))
+
+
+@pytest.mark.parametrize("kind", ["dd", "y4"])
+@pytest.mark.parametrize("kappa", [1e-4, 0.5, 1.0 - 1e-6])
+def test_wp_continuous_across_anchor_boundaries(kind, kappa):
+    # the nearest half-period point changes across Re z = (2k+1) half_real/2
+    # and Im z = (2k+1) half_imag_mag/2; p and p' agree to first order in
+    # the step across each line
+    lat, _ = _lattice_and_roots(kind, kappa)
+    hr, hi = lat.periods.half_real, lat.periods.half_imag_mag
+    step = 1e-9 * min(hr, hi)
+    crossings = []
+    for t in (i / 8.0 for i in range(-7, 8)):
+        for k in (-1.0, 1.0, 3.0):
+            crossings.append((complex(0.5 * k * hr, t * hi), step))
+            crossings.append((complex(t * hr, 0.5 * k * hi), 1j * step))
+    for z, d in crossings:
+        p, dp = wp(z, lat), wp_prime(z, lat)
+        second = 6.0 * p * p - 0.5 * lat.invariants.g2
+        jump_p = wp(z + d, lat) - wp(z - d, lat) - 2.0 * d * dp
+        jump_dp = wp_prime(z + d, lat) - wp_prime(z - d, lat) - 2.0 * d * second
+        assert abs(jump_p) <= 1e-13 * max(1.0, abs(p)), z
+        assert abs(jump_dp) <= 2e-9 * max(1.0, abs(dp)), z
 
 
 def test_invariants_reject_nonfinite():
