@@ -131,6 +131,8 @@ class _PhiWalker:
     def __init__(self, mod: Modulus, tol: float = _PHI_TOL):
         self._f = _integrand(mod)
         self._tol = tol
+        # per step, relative to the peak f(pi/2) = sqrt((1 + lam)/2)/lam >= 1
+        self._step_tol = 0.1 * tol * math.sqrt(0.5 * (1.0 + mod.lam)) / mod.lam
         self.omega = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
         # Start on the integrand's peak, u(pi/2) = omega.  Newton steps
         # heading away from the peak undershoot, so no step has to
@@ -140,7 +142,7 @@ class _PhiWalker:
         self._u = self.omega
 
     def seek(self, target: float) -> float:
-        f, tol = self._f, self._tol
+        f, tol, step_tol = self._f, self._tol, self._step_tol
         T, u = self._T, self._u
         for _ in range(80):
             residual = u - target
@@ -151,9 +153,9 @@ class _PhiWalker:
             if abs(step) < 1e-7:
                 u += f(T + 0.5 * step) * step
             elif step > 0.0:
-                u += integrate(f, Interval(T, T_next), 0.1 * tol)
+                u += integrate(f, Interval(T, T_next), step_tol)
             else:
-                u -= integrate(f, Interval(T_next, T), 0.1 * tol)
+                u -= integrate(f, Interval(T_next, T), step_tol)
             T = T_next
         else:
             raise ConvergenceError(f"phi iteration stalled at u={target}")

@@ -100,6 +100,7 @@ class VerificationReport:
     kappa: float
     seed: int
     tol: float
+    wp_terms: dict[str, int]   # p-series length of the dd and the y4 lattice
     checks: list[IdentityCheck]
     wall_time_ms: float
 
@@ -112,6 +113,7 @@ class VerificationReport:
             "kappa": self.kappa,
             "seed": self.seed,
             "tol": self.tol,
+            "wp_terms": self.wp_terms,
             "checks": [c.to_json_dict() for c in self.checks],
             "wall_time_ms": self.wall_time_ms,
         }
@@ -504,4 +506,5 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
         passed = error is None and worst <= tol
         checks.append(IdentityCheck(name, samples, worst, tol, passed, elapsed, worst_z, error))
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    return VerificationReport(kappa, seed, tol, checks, elapsed_ms)
+    wp_terms = {"dd": len(ctx.lattice.terms), "y4": len(yctx.lattice.terms)}
+    return VerificationReport(kappa, seed, tol, wp_terms, checks, elapsed_ms)

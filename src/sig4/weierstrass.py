@@ -7,33 +7,28 @@ imaginary one.  Evaluation anywhere in the complex plane proceeds by
 
 1. rounding the argument to the nearest point of the half-period lattice,
    which leaves a remainder w with |w| <= sqrt(omega^2 + |omega'|^2)/2;
-2. halving w until it is small against the shortest half-period;
-3. summing the truncated Laurent series for p and p' there, by Horner's
-   rule in w^2, and undoing the halvings with the duplication formula;
-4. adding back a half-period anchor omega_j by the exact addition law
-   p(omega_j + w) = e_j + (e_j - e_k)(e_j - e_l)/(p(w) - e_j) (DLMF 23.10),
-   which yields p - e_j without cancellation near omega_j; an anchor on a
-   full period needs no step 4.
+2. summing the nome series for p(w) and p'(w) (DLMF 23.8.1) in the frame
+   whose real half-period is the shorter one, where q <= exp(-pi) and
+   at most 8 terms reach double precision;
+3. unless that point is a full period, adding back the half-period
+   omega_j by the exact law p(omega_j + w) = e_j + (e_j - e_k)(e_j - e_l)
+   /(p(w) - e_j) (DLMF 23.10), free of cancellation near omega_j.
 
-This is self-contained and uniformly accurate over the cell; theta-based
-evaluation is deliberately out of scope.
-
-Everything an evaluation reads (invariants, sorted roots, half-periods,
-Horner coefficients, the halving threshold, the anchor data) sits in one
-frozen ``Lattice``, built once.  The dd and y4 lattices are built from
-their closed-form roots; bare invariants get theirs from the cubic by
-Viete, once, in the cached ``lattice``.
+Everything an evaluation reads sits in one frozen ``Lattice``, built
+once.  The dd and y4 lattices are built from their closed-form roots; bare
+invariants get theirs from the cubic by Viete, once, in the cached
+``lattice``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .numerics import DomainError, PoleError, agm, solve_depressed_cubic
 
-_N_COEFFS = 13   # Laurent coefficients c_2 .. c_13
 _POLE_TOL = 1e-12
 
 
@@ -93,19 +88,29 @@ def _complete_k(m_c: float) -> float:
 class Lattice:
     """One rectangular lattice, computed once: what every p evaluation reads.
 
-    ``horner`` holds the pairs (c_k, (2k-2) c_k) for k = 13 .. 2, where
-    p = 1/z^2 + sum c_k z^(2k-2).  ``threshold`` is the radius below which
-    the series is summed without halving.  ``anchors`` is indexed by the
-    parities of the nearest half-period point, real bit first: None for a
-    lattice point, else (e_j, F_j) with F_j = (e_j - e_k)(e_j - e_l).
+    The series frame has real half-period a = min(omega, |omega'|), imaginary
+    one b = max(omega, |omega'|), and is entered by z -> -iz when ``rotated``
+    (omega > |omega'|), as p(z; L) = -p(-iz; -iL).  With ``scale`` c = pi/(2a),
+    ``nome`` q = exp(-pi b/a), v = c w and b_n = n q^(2n)/(1 - q^(2n)) there,
+        p - e_ref = c^2 [cot^2 v - 8 (sum b_n cos 2nv - alt)],
+        p'        = c^3 [sum 16 n b_n sin 2nv - 2 cot v / sin^2 v],
+    ``terms`` and ``dterms`` hold b_n and 16 n b_n for n = N .. 1, ``alt`` is
+    sum (-1)^n b_n, and e_ref is e1, or e3 when rotated.  ``anchors``, indexed
+    by the parities of the nearest half-period point (real bit first), holds
+    (e_j, F_j, e_ref - e_j) with F_j = (e_j - e_k)(e_j - e_l), and
+    (e_ref, None, 0.0) for a lattice point.
     """
 
     invariants: Invariants
     roots: MidpointTriple
     periods: PeriodPair
-    horner: tuple[tuple[float, float], ...]
-    threshold: float
-    anchors: tuple[tuple[float, float] | None, ...]
+    rotated: bool
+    scale: float
+    nome: float
+    terms: tuple[float, ...]
+    dterms: tuple[float, ...]
+    alt: float
+    anchors: tuple[tuple[float, float | None, float], ...]
 
 
 def build_lattice(
@@ -117,22 +122,23 @@ def build_lattice(
     with m = (e2-e3)/(e1-e3), 1 - m = (e1-e2)/(e1-e3); each is formed as a
     ratio of differences, so a closed-form triple keeps full relative
     accuracy as two roots merge.  K by AGM, relative error ~1e-15.  The
-    anchor factors F_j are products of the same differences.
+    anchor data are products and sums of the same differences.
     """
     root = math.sqrt(d13)
     periods = PeriodPair(_complete_k(d12 / d13) / root, _complete_k(d23 / d13) / root)
-    c = [0.0] * (_N_COEFFS + 1)
-    c[2] = inv.g2 / 20.0
-    c[3] = inv.g3 / 28.0
-    for k in range(4, _N_COEFFS + 1):
-        acc = 0.0
-        for m in range(2, k - 1):
-            acc += c[m] * c[k - m]
-        c[k] = 3.0 / ((2 * k + 1) * (k - 3)) * acc
-    horner = tuple((c[k], (2 * k - 2) * c[k]) for k in range(_N_COEFFS, 1, -1))
-    threshold = 0.5 * min(periods.half_real, periods.half_imag_mag)
-    anchors = (None, (roots.e1, d12 * d13), (roots.e3, d13 * d23), (roots.e2, -d12 * d23))
-    return Lattice(inv, roots, periods, horner, threshold, anchors)
+    rotated = periods.half_real > periods.half_imag_mag
+    a, b = sorted((periods.half_real, periods.half_imag_mag))
+    q = math.exp(-math.pi * b / a)
+    # |Im v| <= pi b/(4a) on the anchored cell, so term n is at most about
+    # 4 n q^(1.5 n); keep it while that is >= 2^-56, at most n = 8 for q <= e^-pi
+    ns = [n for n in range(9, 0, -1) if 4 * n * q ** (1.5 * n) >= 2.0 ** -56]
+    terms = tuple(n * q ** (2 * n) / (1.0 - q ** (2 * n)) for n in ns)
+    dterms = tuple(16 * n * bn for n, bn in zip(ns, terms))
+    alt = sum((-1) ** n * bn for n, bn in zip(ns, terms))
+    e_ref, gaps = (roots.e3, (-d13, 0.0, -d23)) if rotated else (roots.e1, (0.0, d13, d12))
+    factors = (d12 * d13, d13 * d23, -d12 * d23)   # F_j of the anchors e1, e3, e2
+    anchors = ((e_ref, None, 0.0),) + tuple(zip((roots.e1, roots.e3, roots.e2), factors, gaps))
+    return Lattice(inv, roots, periods, rotated, math.pi / (2 * a), q, terms, dterms, alt, anchors)
 
 
 @lru_cache(maxsize=512)
@@ -147,61 +153,48 @@ def half_periods(inv: Invariants) -> PeriodPair:
     return lattice(inv).periods
 
 
-def _duplicate(p: complex, dp: complex, e: MidpointTriple) -> tuple[complex, complex]:
-    # p(2z) = -2p + (p'')^2 / (4 p'^2), with p'^2 = 4(p-e1)(p-e2)(p-e3) and
-    # p'' = 2 sum (p-ei)(p-ej) taken from the roots: no cancellation near a root
-    a, b, c = p - e.e1, p - e.e2, p - e.e3
-    second = 2.0 * (a * b + a * c + b * c)
-    p2 = -2.0 * p + second * second / (16.0 * a * b * c)
-    dp2 = -dp + second * (12.0 * p * dp * dp - second * second) / (4.0 * dp ** 3)
-    return p2, dp2
-
-
-def _resolve(lat: Lattice | Invariants) -> Lattice:
-    return lattice(lat) if isinstance(lat, Invariants) else lat
-
-
-def _wp_pair(z: complex, lat: Lattice | Invariants) -> tuple[complex, complex]:
-    lat = _resolve(lat)
+def _evaluate(z: complex, lat: Lattice | Invariants, prime: bool) -> tuple[complex, complex]:
+    """p at z and, if ``prime``, p' (else 0j), by the series of ``Lattice``."""
+    lat = lattice(lat) if isinstance(lat, Invariants) else lat
     hr, hi = lat.periods.half_real, lat.periods.half_imag_mag
-    sr = round(z.real / hr)
-    si = round(z.imag / hi)
+    sr, si = round(z.real / hr), round(z.imag / hi)
     w = complex(z.real - sr * hr, z.imag - si * hi)
-    anchor = lat.anchors[(sr & 1) | (si & 1) << 1]
-    if anchor is None:
-        if abs(w) < _POLE_TOL:
-            raise PoleError(f"p-function pole: argument within {_POLE_TOL:g} of the lattice")
-    elif w == 0:
-        return complex(anchor[0]), 0j
-    halvings = 0
-    while abs(w) >= lat.threshold:
-        w *= 0.5
-        halvings += 1
-    # p = 1/s + s A(s), p' = w B(s) - 2/(s w), s = w^2: Horner over the pairs
-    s = w * w
-    a = b = 0.0
-    for ck, dk in lat.horner:
-        a = a * s + ck
-        b = b * s + dk
-    p = 1.0 / s + s * a
-    dp = w * b - 2.0 / (s * w)
-    for _ in range(halvings):
-        p, dp = _duplicate(p, dp, lat.roots)
-    if anchor is None:
-        return p, dp
-    e, f = anchor
-    q = 1.0 / (p - e)
+    e, f, gap = lat.anchors[(sr & 1) | (si & 1) << 1]
+    if f is None and abs(w) < _POLE_TOL:
+        raise PoleError(f"p-function pole: argument within {_POLE_TOL:g} of the lattice")
+    if f is not None and w == 0:
+        return complex(e), 0j
+    c = lat.scale
+    v = c * complex(w.imag, -w.real) if lat.rotated else c * w
+    sin_v, cos_v = cmath.sin(v), cmath.cos(v)
+    cot = cos_v / sin_v
+    # Clenshaw's form of the Chebyshev recurrence in x = cos 2v, twice = 2x:
+    # sum b_n cos 2nv = x b1 - b2 (T_n), sum 16 n b_n sin 2nv = sin 2v s1 (U_(n-1))
+    twice = 2.0 * (cos_v * cos_v - sin_v * sin_v)
+    b1 = b2 = s1 = s2 = dp = 0j
+    for bn in lat.terms:
+        b1, b2 = bn + twice * b1 - b2, b1
+    if prime:
+        for dbn in lat.dterms:
+            s1, s2 = dbn + twice * s1 - s2, s1
+        dp = c * c * c * (2.0 * sin_v * cos_v * s1 - 2.0 * cot / (sin_v * sin_v))
+    p = c * c * (cot * cot - 8.0 * (0.5 * twice * b1 - b2 - lat.alt))   # p(w) - e_ref
+    if lat.rotated:
+        p, dp = -p, 1j * dp
+    if f is None:
+        return e + p, dp
+    q = 1.0 / (p + gap)
     return e + f * q, -f * dp * q * q
 
 
 def wp(z: complex, lat: Lattice | Invariants) -> complex:
     """Weierstrass p at ``z`` on a lattice, or on the lattice of bare invariants."""
-    return _wp_pair(z, lat)[0]
+    return _evaluate(z, lat, False)[0]
 
 
 def wp_prime(z: complex, lat: Lattice | Invariants) -> complex:
     """Derivative p' at ``z``; vanishes at the half-period points."""
-    return _wp_pair(z, lat)[1]
+    return _evaluate(z, lat, True)[1]
 
 
 def wp_quarter_values(lat: Lattice | Invariants) -> tuple[float, float]:
@@ -211,6 +204,6 @@ def wp_quarter_values(lat: Lattice | Invariants) -> tuple[float, float]:
         p(half_real/2)          = e1 + sqrt((e1-e2)(e1-e3))
         p(half_real/2 + imag)   = e1 - sqrt((e1-e2)(e1-e3))
     """
-    e = _resolve(lat).roots
+    e = (lattice(lat) if isinstance(lat, Invariants) else lat).roots
     root = math.sqrt((e.e1 - e.e2) * (e.e1 - e.e3))
     return e.e1 + root, e.e1 - root

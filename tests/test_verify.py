@@ -7,7 +7,15 @@ import pytest
 import sig4.verify as verify
 from sig4.dd import make_context
 from sig4.numerics import ConvergenceError
-from sig4.verify import REGISTRY_NAMES, check_ddy4, run_suite
+from sig4.verify import (
+    REGISTRY_NAMES,
+    Lcg64,
+    _draw,
+    check_ddy4,
+    check_final_remark,
+    run_suite,
+)
+from sig4.y4 import make_y4_context
 
 
 @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9])
@@ -22,6 +30,46 @@ def test_y4_zero_start_avoids_every_pole_image(kappa):
 def test_all_identities_near_kappa_one(kappa):
     report = run_suite(kappa, 200, 0, 1e-8)
     assert [c.name for c in report.checks if not c.passed] == []
+
+
+@pytest.mark.parametrize("kappa", [1e-4, 1e-3])
+def test_y4_equation_rows_at_small_kappa(kappa):
+    # y' comes from p', which must keep its relative accuracy where |p'| is
+    # small on the nearly degenerate y4 lattice
+    report = run_suite(kappa, 200, 0, 1e-8)
+    rows = {c.name: c for c in report.checks}
+    assert rows["y4-ode"].passed, rows["y4-ode"].max_residual
+    assert rows["y4-zero-start"].passed, rows["y4-zero-start"].max_residual
+
+
+def test_real_axis_equation_at_kappa_nearest_one():
+    # the phi walk's step tolerance scales with the integrand's 1/lam peak
+    report = run_suite(1.0 - 1e-9, 200, 0, 1e-8)
+    row = next(c for c in report.checks if c.name == "d-ode-real-axis")
+    assert row.error is None and row.passed, (row.error, row.max_residual)
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 0.5, 0.99])
+def test_report_counts_series_terms(kappa):
+    first = run_suite(kappa, 5, 0, 1e-8).to_json_dict()["wp_terms"]
+    ctx = make_context(kappa)
+    expected = {
+        "dd": len(ctx.lattice.terms),
+        "y4": len(make_y4_context(ctx.modulus.lam).lattice.terms),
+    }
+    assert first == expected
+    assert run_suite(kappa, 5, 0, 1e-8).to_json_dict()["wp_terms"] == first
+
+
+@pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9, 0.99])
+def test_final_remark_over_the_dd_cell(kappa):
+    # dd(z) = 1 - 2 y4p(z/sqrt8 + zero)^2, y4 built on kappa as its parameter
+    pp = make_context(kappa).lattice.periods
+    rng = Lcg64(0)
+    poles = (complex(0.0, pp.half_imag_mag), complex(0.0, -pp.half_imag_mag))
+    for _ in range(200):
+        z = _draw(rng, pp, poles)
+        assert check_final_remark(z, kappa) <= 1e-10, z
 
 
 def test_suite_reports_every_row_at_small_kappa():

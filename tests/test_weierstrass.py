@@ -242,17 +242,34 @@ def test_wp_near_half_periods_and_quarter_points_against_mpmath(kind, kappa):
                 z = centre + distance * scale * direction
                 p, dp = _wp_reference(roots, z)
                 assert abs(wp(z, lat) - p) <= 1e-14 * max(1.0, abs(p)), z
-                assert abs(wp_prime(z, lat) - dp) <= 1e-9 * max(1.0, abs(dp)), z
+                assert abs(wp_prime(z, lat) - dp) <= 1e-13 * max(1.0, abs(dp)), z
 
 
 def test_wp_prime_near_half_period_of_nearly_degenerate_lattice():
-    # y4 lattice at kappa = 1e-4: e1 - e2 is 5e-9, and z is 0.013 from the
-    # half-period half_real + 0j
+    # y4 lattice at kappa = 1e-4: e1 - e2 is 5e-9.  -5.632 - 0.010i is 0.013
+    # from the half-period half_real + 0j; at 2.8166 - 0.0411i, close to the
+    # quarter point half_real/2, |p'| is small (8e-4) and keeps its
+    # relative accuracy
     lat, roots = _lattice_and_roots("y4", 1e-4)
-    z = -5.632 - 0.010j
-    p, dp = _wp_reference(roots, z)
-    assert abs(wp(z, lat) - p) <= 1e-14 * max(1.0, abs(p))
-    assert abs(wp_prime(z, lat) - dp) <= 1e-9 * max(1.0, abs(dp))
+    for z in (-5.632 - 0.010j, 2.8166 - 0.0411j):
+        p, dp = _wp_reference(roots, z)
+        assert abs(wp(z, lat) - p) <= 1e-14 * max(1.0, abs(p)), z
+        assert abs(wp_prime(z, lat) - dp) <= 1e-13 * abs(dp), z
+
+
+@pytest.mark.parametrize("kappa, count", [
+    (1e-4, 1), (1e-3, 1), (0.05, 2), (0.5, 5), (0.9, 8), (0.99, 6), (1.0 - 1e-6, 3),
+])
+def test_series_length_and_frame(kappa, count):
+    # the y4 lattice is the dd lattice turned by a quarter and halved, so
+    # both share the nome and the series length, in opposite frames
+    lat, _ = _lattice_and_roots("dd", kappa)
+    ylat, _ = _lattice_and_roots("y4", kappa)
+    assert len(lat.terms) == len(ylat.terms) == count
+    assert lat.nome == pytest.approx(ylat.nome, rel=1e-8)
+    assert 0.0 < lat.nome <= math.exp(-math.pi)
+    assert lat.rotated != ylat.rotated
+    assert lat.rotated == (lat.periods.half_real > lat.periods.half_imag_mag)
 
 
 @pytest.mark.parametrize("kind", ["dd", "y4"])
