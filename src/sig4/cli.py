@@ -7,17 +7,20 @@ table), ``invariants`` (invariant pairs and midpoint values), ``table``
 The real-axis functions take their cheapest production route: ``d`` is
 the real part of ``dd`` (the Weierstrass product form), and ``table phi``
 inverts the forward integral for the whole grid in one ``phi_many``
-walk.  The quadrature route ``d_real`` is left to the identity suite and
-the tests as the independent check.
+walk, whose Newton steps integrate with graded Gauss-Legendre panels.
+The composition ``d_real`` is left to the identity suite and the tests as
+the independent check.
 
 Exit codes: 0 success, 1 numerical or verification failure, 2 usage
-error.  The environment variable SIG4_TOL overrides the default
-verification tolerance.  ``verify`` prints its report even when some
-identities failed or raised; it exits 1 then.
+error; a literal or grid point that overflows a float is a usage error.
+The environment variable SIG4_TOL overrides the default verification
+tolerance.  ``verify`` prints its report even when some identities failed
+or raised; it exits 1 then.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -40,7 +43,7 @@ _IMAG_RE = re.compile(rf"^\s*(?P<sign>[+-]?)\s*(?P<im>{_NUM})\s*i\s*$")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a', 'a+bi', 'a-bi' or 'bi', spaces allowed."""
+    """Parse 'a', 'a+bi', 'a-bi' or 'bi', spaces allowed; both parts finite."""
     m = _COMPLEX_RE.match(text)
     if m:
         re_part = float(m.group("re").replace(" ", ""))
@@ -49,14 +52,18 @@ def parse_complex(text: str) -> complex:
             im_part = float(m.group("im"))
             if m.group("sign") == "-":
                 im_part = -im_part
-        return complex(re_part, im_part)
-    m = _IMAG_RE.match(text)
-    if m:
+        z = complex(re_part, im_part)
+    else:
+        m = _IMAG_RE.match(text)
+        if not m:
+            raise click.BadParameter(f"cannot parse complex literal {text!r}; expected 'a+bi'")
         im_part = float(m.group("im"))
         if m.group("sign") == "-":
             im_part = -im_part
-        return complex(0.0, im_part)
-    raise click.BadParameter(f"cannot parse complex literal {text!r}; expected 'a+bi'")
+        z = complex(0.0, im_part)
+    if not cmath.isfinite(z):
+        raise click.BadParameter(f"complex literal {text!r} overflows a float")
+    return z
 
 
 def fmt_real(x: float) -> str:
@@ -213,6 +220,8 @@ def table(function, kappa, lam, g2, g3, start, stop, steps, imag):
     import csv as _csv
 
     xs = [start + (stop - start) * k / steps for k in range(steps + 1)]
+    _require(all(map(math.isfinite, xs)) and math.isfinite(imag),
+             "--from, --to and --imag must give finite grid points")
     try:
         if function == "phi":
             # one continuation walk serves the whole grid

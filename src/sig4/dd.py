@@ -5,8 +5,11 @@ lam = sqrt(1 - kappa^2):
 
 * the incomplete integral  u(T) = int_0^T 2F1(1/4,3/4;1/2; kappa^2 sin^2 t) dt
   is a strictly increasing bijection of the real line; ``phi`` is its
-  inverse.  The integrand is evaluated in closed form, sqrt((1+c)/2)/c
-  with c = sqrt(1 - kappa^2 sin^2 t) >= lam,
+  inverse, found by Newton continuation.  The integrand is evaluated in
+  closed form, sqrt((1+c)/2)/c with c = sqrt(1 - kappa^2 sin^2 t) >= lam;
+  it is analytic off the branch points pi/2 + k pi +- i asinh(lam/kappa),
+  so u is integrated by an 8-point Gauss-Legendre rule on panels graded
+  by the distance to those points, with no tolerance to meet,
 * on the real axis  d(u) = cos(arcsin(kappa sin phi(u)))
                         = sqrt(1 - kappa^2 sin^2 phi(u)),
 * the elliptic extension dd of d to the plane satisfies
@@ -18,7 +21,9 @@ lam = sqrt(1 - kappa^2):
 
 The real half-period omega admits three independent computations (AGM
 closed form, forward integral, singular trigonometric integral), kept
-separate so they can corroborate one another.
+separate so they can corroborate one another.  The trigonometric
+integrals of omega and omega' have an inverse square-root endpoint
+singularity; they alone use tanh-sinh quadrature.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .hypergeometric import complete_f
-from .numerics import ConvergenceError, DomainError, Interval, PoleError, integrate
+from .numerics import ConvergenceError, DomainError, Interval, PoleError, gauss_legendre, integrate
 from .weierstrass import Invariants, Lattice, MidpointTriple, build_lattice, wp
 
 _PHI_TOL = 1e-12
@@ -96,53 +101,86 @@ def _integrand(mod: Modulus):
     return f
 
 
-def forward_integral(T: float, mod: Modulus, tol: float = 1e-13) -> float:
+_GAUSS = gauss_legendre(8)
+
+
+def _branch_gap(mod: Modulus) -> float:
+    """a = asinh(lam/kappa): where kappa^2 sin^2 t = 1, at t = pi/2 + k pi +- i a."""
+    return math.asinh(mod.lam / mod.kappa)
+
+
+def _u_between(f, a2: float, t0: float, t1: float) -> float:
+    """int_t0^t1 f, by the 8-point Gauss-Legendre rule on graded panels.
+
+    The panel that starts at t has width sqrt(delta^2 + a^2)/4, a quarter
+    of the distance from t to the nearest branch point pi/2 + k pi +- i a
+    (delta = |t - (pi/2 + k pi)|), so every panel sits well inside the
+    integrand's region of analyticity and the rule is exact to rounding
+    (DLMF 3.5(v)).  The panels run from t0 towards t1, the last one cut
+    at t1; t1 < t0 gives the negated integral.
+    """
+    sign = 1.0 if t1 > t0 else -1.0
+    total = 0.0
+    t = t0
+    while t != t1:
+        delta = math.remainder(t - 0.5 * math.pi, math.pi)
+        end = t + sign * 0.25 * math.sqrt(delta * delta + a2)
+        if sign * (t1 - end) <= 0.0:
+            end = t1
+        mid, half = 0.5 * (t + end), 0.5 * (end - t)
+        s = 0.0
+        for x, w in _GAUSS:
+            s += w * (f(mid + half * x) + f(mid - half * x))
+        total += half * s
+        t = end
+    return total
+
+
+def forward_integral(T: float, mod: Modulus) -> float:
     """The incomplete integral u(T); odd and strictly increasing in T.
 
-    The range is split at multiples of pi/2 so each quadrature panel sees
-    a single smooth hump of the integrand.
+    Quasi-periodicity u(T + pi) = u(T) + 2 omega, omega =
+    (pi/2) complete_f(kappa, lam), reduces T to r in [-pi/2, pi/2]; u(r)
+    comes from the graded Gauss-Legendre panels of ``_u_between``, so a
+    large |T| costs no more than |T| = pi/2.  Raises DomainError for a
+    non-finite T.
     """
-    if T == 0.0:
-        return 0.0
-    f = _integrand(mod)
-    upper = abs(T)
-    panels = max(1, math.ceil(upper / (0.5 * math.pi) - 1e-12))
-    panel_tol = tol / panels
-    total = 0.0
-    for k in range(panels):
-        lo = 0.5 * math.pi * k
-        hi = min(0.5 * math.pi * (k + 1), upper)
-        if hi > lo:
-            total += integrate(f, Interval(lo, hi), panel_tol)
-    return math.copysign(total, T)
+    if not math.isfinite(T):
+        raise DomainError(f"forward integral needs a finite argument, got {T}")
+    r = math.remainder(T, math.pi)  # exact, so any |T| lands in [-pi/2, pi/2]
+    wraps = round((T - r) / math.pi)
+    omega = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
+    a = _branch_gap(mod)
+    return 2.0 * wraps * omega + _u_between(_integrand(mod), a * a, 0.0, r)
 
 
 class _PhiWalker:
     """Newton continuation along the strictly increasing map u(T).
 
     Maintains the pair (T, u(T)) and advances it to successive targets.
-    Large steps are integrated with the quadrature; once a step drops
-    under 1e-7 the midpoint rule suffices (error ~ step^3), which keeps
-    the increment error a smooth function of the endpoints.  That
-    smoothness is what lets central differences of d reach ~1e-10
-    residuals: nearby evaluations share one quadrature base.
+    Each Newton step's increment of u comes from ``_u_between``: one
+    8-point panel on the short steps of a dense grid.  Steps under 1e-7
+    take the midpoint rule f(T + step/2) step instead, on the step as
+    computed rather than the rounded T_next - T.  Near kappa = 1 one ulp
+    of T at pi/2 moves u by more than the 1e-12 tolerance, so no float T
+    meets it; crediting the unrounded step lets the walk settle, where
+    integrating the rounded one leaves Newton cycling until it stalls.
     """
 
     def __init__(self, mod: Modulus, tol: float = _PHI_TOL):
         self._f = _integrand(mod)
+        self._a2 = _branch_gap(mod) ** 2
         self._tol = tol
-        # per step, relative to the peak f(pi/2) = sqrt((1 + lam)/2)/lam >= 1
-        self._step_tol = 0.1 * tol * math.sqrt(0.5 * (1.0 + mod.lam)) / mod.lam
         self.omega = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
-        # Start on the integrand's peak, u(pi/2) = omega.  Newton steps
-        # heading away from the peak undershoot, so no step has to
-        # integrate across the 1/lam spike, which near kappa = 1 is
-        # sharper than the quadrature's tolerance can resolve.
+        # Start on the integrand's peak, u(pi/2) = omega.  u is convex
+        # below pi/2 and concave above, so Newton steps heading away from
+        # the peak undershoot and never jump across the 1/lam spike into
+        # the next branch.
         self._T = 0.5 * math.pi
         self._u = self.omega
 
     def seek(self, target: float) -> float:
-        f, tol, step_tol = self._f, self._tol, self._step_tol
+        f, a2, tol = self._f, self._a2, self._tol
         T, u = self._T, self._u
         for _ in range(80):
             residual = u - target
@@ -152,10 +190,8 @@ class _PhiWalker:
             T_next = T + step
             if abs(step) < 1e-7:
                 u += f(T + 0.5 * step) * step
-            elif step > 0.0:
-                u += integrate(f, Interval(T, T_next), step_tol)
             else:
-                u -= integrate(f, Interval(T_next, T), step_tol)
+                u += _u_between(f, a2, T, T_next)
             T = T_next
         else:
             raise ConvergenceError(f"phi iteration stalled at u={target}")
@@ -163,17 +199,30 @@ class _PhiWalker:
         return T
 
 
+def _reduce(u: float, two_omega: float) -> tuple[float, int]:
+    """(u0, wraps) with u = u0 + wraps 2 omega and u0 in [0, 2 omega].
+
+    fmod is exact, so an argument of any size lands in one monotone
+    branch of u(T).
+    """
+    if not math.isfinite(u):
+        raise DomainError(f"phi needs a finite argument, got {u}")
+    u0 = math.fmod(u, two_omega)
+    if u0 < 0.0:
+        u0 += two_omega
+    return u0, round((u - u0) / two_omega)
+
+
 def phi(u: float, mod: Modulus, tol: float = _PHI_TOL) -> float:
     """Inverse of the forward integral: the unique T with u(T) = u.
 
     Quasi-periodicity phi(u + 2 omega) = phi(u) + pi reduces the problem
-    to [0, 2 omega) before Newton iteration, so the solve always starts
-    inside one monotone branch.
+    to [0, 2 omega] before Newton iteration, so the solve always starts
+    inside one monotone branch.  Raises DomainError for a non-finite u.
     """
     walker = _PhiWalker(mod, tol)
-    two_omega = 2.0 * walker.omega
-    wraps = math.floor(u / two_omega)
-    return walker.seek(u - wraps * two_omega) + wraps * math.pi
+    u0, wraps = _reduce(u, 2.0 * walker.omega)
+    return walker.seek(u0) + wraps * math.pi
 
 
 def phi_many(us: Sequence[float], mod: Modulus, tol: float = _PHI_TOL) -> list[float]:
@@ -183,15 +232,11 @@ def phi_many(us: Sequence[float], mod: Modulus, tol: float = _PHI_TOL) -> list[f
     reduced by quasi-periodicity and sorted; one walker climbs from the
     start (pi/2, omega) through the arguments above omega, another
     descends through those below, each advancing incrementally between
-    neighbours.
+    neighbours.  Raises DomainError if any argument is not finite.
     """
     up, down = _PhiWalker(mod, tol), _PhiWalker(mod, tol)
     two_omega = 2.0 * up.omega
-    reduced = []
-    for i, u in enumerate(us):
-        wraps = math.floor(u / two_omega)
-        reduced.append((u - wraps * two_omega, wraps, i))
-    reduced.sort()
+    reduced = sorted((*_reduce(u, two_omega), i) for i, u in enumerate(us))
     out = [0.0] * len(reduced)
     for u0, wraps, i in reduced:
         if u0 >= up.omega:
@@ -252,7 +297,7 @@ def omega_three_ways(mod: Modulus, tol: float = 1e-12) -> tuple[float, float, fl
     via_trig:     sqrt(2) int_0^alpha cos(t/2)/sqrt(cos 2t - cos 2 alpha) dt
     """
     closed = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
-    via_integral = forward_integral(0.5 * math.pi, mod, tol)
+    via_integral = forward_integral(0.5 * math.pi, mod)
     via_trig = math.sqrt(2.0) * _singular_half_period_integral(mod.alpha, tol)
     return closed, via_integral, via_trig
 

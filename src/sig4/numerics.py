@@ -1,9 +1,12 @@
 """Shared numeric kernels.
 
-Three scalar building blocks used throughout the package:
+Scalar building blocks used throughout the package:
 
 * tanh-sinh (double-exponential) quadrature, tolerant of inverse
-  square-root endpoint singularities,
+  square-root endpoint singularities; it serves only the singular
+  half-period integrals of ``dd``,
+* the nodes and weights of the Gauss-Legendre rule, behind the panel
+  rule that integrates the smooth forward integral u(T) of ``dd``,
 * the depressed cubic ``4 t^3 - g2 t - g3`` solved by the trigonometric
   (Viete) method for the three-real-root regime,
 * the arithmetic-geometric mean, behind every complete elliptic value.
@@ -136,6 +139,31 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TO
         f"quadrature did not reach tol={tol:g} after level {_MAX_LEVEL} "
         f"(last refinement moved {err:.3e})"
     )
+
+
+def gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
+    """The n-point Gauss-Legendre rule on [-1, 1] as (node, weight) pairs.
+
+    Only the nodes x > 0 are returned, in decreasing order; -x carries the
+    same weight, and n must be even, so no node sits at 0.  For n = 8,
+    Newton's method on P_n from the Tricomi start
+    cos(pi (i - 1/4)/(n + 1/2)) reaches rounding within five of its eight
+    steps.  The weight is 2/((1 - x^2) P_n'^2), with 1 - x^2 formed as
+    (1 - x)(1 + x) so the outer weights keep full accuracy.
+    """
+    if n < 2 or n % 2:
+        raise DomainError(f"gauss_legendre needs an even n >= 2, got {n}")
+    pairs = []
+    for i in range(1, n // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(8):
+            p_prev, p = 1.0, x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            dp = n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+            x -= p / dp
+        pairs.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)))
+    return tuple(pairs)
 
 
 def solve_depressed_cubic(g2: float, g3: float) -> tuple[float, float, float]:

@@ -2,6 +2,7 @@
 
 import json
 
+import click
 import mpmath
 import pytest
 from click.testing import CliRunner
@@ -87,6 +88,29 @@ def test_real_line_usage_errors(function):
     no_kappa = _invoke(["table", function, "--from", "0", "--to", "1", "--steps", "2"])
     assert no_kappa.exit_code == 2
     assert f"{function} requires --kappa" in no_kappa.output
+
+
+@pytest.mark.parametrize("literal", ["1e400", "1-1e400i", "-1e400i"])
+def test_parse_complex_rejects_overflow(literal):
+    with pytest.raises(click.BadParameter):
+        parse_complex(literal)
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["eval", "phi", "--kappa", "0.5", "--z", "1e400"], id="eval-phi"),
+    pytest.param(["eval", "dd", "--kappa", "0.5", "--z", "1e400"], id="eval-dd"),
+    pytest.param(["eval", "wp", "--g2", "1", "--g3", "0", "--z", "1e400"], id="eval-wp"),
+    pytest.param(["table", "phi", "--kappa", "0.5", "--from", "0", "--to", "inf",
+                  "--steps", "2"], id="table-phi-inf"),
+    pytest.param(["table", "d", "--kappa", "0.5", "--from", "nan", "--to", "1",
+                  "--steps", "2"], id="table-d-nan"),
+    pytest.param(["table", "wp", "--g2", "1", "--g3", "0", "--from", "-1e308",
+                  "--to", "1e308", "--steps", "2"], id="table-wp-grid-overflow"),
+])
+def test_non_finite_arguments_are_usage_errors(args):
+    result = _invoke(args)
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_non_numeric_sig4_tol_is_usage_error():

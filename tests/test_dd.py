@@ -82,11 +82,35 @@ class TestForwardIntegral:
         values = [forward_integral(t, ctx.modulus) for t in (0.0, 0.5, 1.3, 2.0, 3.3)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("kappa", [1e-3, 0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-6])
+    @pytest.mark.parametrize("kappa", [1e-4, 1e-3, 0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-6])
     def test_at_half_pi_against_mpmath(self, kappa):
         with mpmath.workdps(30):
             omega = mpmath.pi / 2 * mpmath.hyp2f1(0.25, 0.75, 1, mpmath.mpf(kappa) ** 2)
             assert abs(forward_integral(0.5 * math.pi, make_modulus(kappa)) - omega) <= 1e-12
+
+    def test_at_half_pi_nearest_one(self):
+        # the floor is the float pi/2, 6.1e-17 below pi/2, where f ~ 2.2e4
+        kappa = 1.0 - 1e-9
+        with mpmath.workdps(30):
+            omega = mpmath.pi / 2 * mpmath.hyp2f1(0.25, 0.75, 1, mpmath.mpf(kappa) ** 2)
+            assert abs(forward_integral(0.5 * math.pi, make_modulus(kappa)) - omega) <= 2e-12
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.9999])
+    def test_large_argument_against_mpmath(self, kappa):
+        # reduced by u(T + pi) = u(T) + 2 omega, not integrated across |T|
+        mod = make_modulus(kappa)
+        with mpmath.workdps(30):
+            k2 = mpmath.mpf(kappa) ** 2
+            omega = mpmath.pi / 2 * mpmath.hyp2f1(0.25, 0.75, 1, k2)
+            for T in (100.0, 1000.0, -1e4):
+                wraps = mpmath.nint(T / mpmath.pi)
+                r = T - wraps * mpmath.pi
+                quad = mpmath.quad(
+                    lambda t: mpmath.hyp2f1(0.25, 0.75, 0.5, k2 * mpmath.sin(t) ** 2),
+                    [0, r / 2, r],
+                )
+                ref = 2 * wraps * omega + quad
+                assert abs(forward_integral(T, mod) - ref) <= 4e-16 * abs(ref), T
 
     @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9, 0.99])
     def test_closed_integrand_matches_series(self, kappa):
@@ -132,6 +156,42 @@ class TestPhi:
         for u, got in zip(us, phi_many(us, mod)):
             assert abs(phi(u, mod) - got) <= 1e-11
 
+    def test_phi_many_against_mpmath_nearest_one(self):
+        kappa = 1.0 - 1e-9
+        mod = make_modulus(kappa)
+        omega = make_context(kappa).lattice.periods.half_real
+        us = [-3 * omega + 7 * omega * i / 13 for i in range(14)]
+        got = phi_many(us, mod)
+        with mpmath.workdps(30):
+            k2 = mpmath.mpf(kappa) ** 2
+
+            def f(t):
+                c = mpmath.sqrt(1 - k2 * mpmath.sin(t) ** 2)
+                return mpmath.sqrt((1 + c) / 2) / c
+
+            half = mpmath.pi / 2
+            two_omega = mpmath.pi * mpmath.hyp2f1(0.25, 0.75, 1, k2)
+
+            def u_of(T):
+                # T in [0, pi]; no quadrature runs across the peak at pi/2
+                if T <= half:
+                    return mpmath.quad(f, [0, T])
+                return two_omega - mpmath.quad(f, [T, mpmath.pi])
+
+            for u, T_float in zip(us, got):
+                wraps = mpmath.floor(u / two_omega)
+                u0 = u - wraps * two_omega
+                # Newton on u(T) = u0; the float value only seeds it
+                T = T_float - wraps * mpmath.pi
+                for _ in range(20):
+                    step = (u_of(T) - u0) / f(T)
+                    T -= step
+                    if abs(step) < mpmath.mpf(10) ** -25:
+                        break
+                else:
+                    raise AssertionError(f"reference Newton stalled at u={u}")
+                assert abs(T_float - (T + wraps * mpmath.pi)) <= 5e-12, u
+
     def test_sign_flip_of_sin_phi(self, ctx):
         # sin(phi) switches sign on translation by 2 omega
         rng = random.Random(9)
@@ -140,6 +200,23 @@ class TestPhi:
             s0 = math.sin(phi(u, ctx.modulus))
             s1 = math.sin(phi(u + 2 * OMEGA, ctx.modulus))
             assert abs(s1 + s0) <= 1e-10
+
+
+def test_non_finite_arguments_rejected(ctx):
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            forward_integral(bad, ctx.modulus)
+        with pytest.raises(DomainError):
+            phi(bad, ctx.modulus)
+        with pytest.raises(DomainError):
+            phi_many([0.5, bad], ctx.modulus)
+
+
+def test_phi_of_huge_finite_argument(ctx):
+    # the reduction by 2 omega must be exact: u - floor(u/2 omega) 2 omega is off by 2.4e257 here
+    u = 1.9371377958034344e273
+    assert phi(u, ctx.modulus) == pytest.approx(u * math.pi / (2 * OMEGA), rel=1e-15)
+    assert phi_many([u], ctx.modulus)[0] == phi(u, ctx.modulus)
 
 
 class TestDReal:

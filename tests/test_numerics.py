@@ -10,6 +10,7 @@ from sig4.numerics import (
     ConvergenceError,
     DomainError,
     Interval,
+    gauss_legendre,
     integrate,
     solve_depressed_cubic,
 )
@@ -84,6 +85,18 @@ class TestIntegrate:
         combined = integrate(lambda x: a * f(x) + b * g(x), iv, tol)
         split = a * integrate(f, iv, tol) + b * integrate(g, iv, tol)
         assert abs(combined - split) <= 2.0 * tol * (1.0 + abs(a) + abs(b))
+
+
+def test_gauss_legendre_integrates_polynomials_exactly():
+    # the 8-point rule is exact for degree <= 15
+    pairs = gauss_legendre(8)
+    assert len(pairs) == 4 and all(0.0 < x < 1.0 and w > 0.0 for x, w in pairs)
+    for k in range(16):
+        value = sum(w * (x ** k + (-x) ** k) for x, w in pairs)
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(value - exact) <= 1e-15, k
+    with pytest.raises(DomainError):
+        gauss_legendre(7)
 
 
 class TestDepressedCubic:

@@ -1,6 +1,7 @@
 """The identity suite: sampling, extreme moduli and the report of a runner that raises."""
 
 import json
+import sys
 
 import pytest
 
@@ -47,6 +48,30 @@ def test_real_axis_equation_at_kappa_nearest_one():
     report = run_suite(1.0 - 1e-9, 200, 0, 1e-8)
     row = next(c for c in report.checks if c.name == "d-ode-real-axis")
     assert row.error is None and row.passed, (row.error, row.max_residual)
+
+
+@pytest.mark.parametrize("kappa", [1e-4, 0.5, 0.9999, 1.0 - 1e-9])
+def test_real_axis_equation_work(kappa, monkeypatch):
+    # graded Gauss-Legendre panels: 8 integrand evaluations per short Newton step
+    dd_module = sys.modules["sig4.dd"]
+    original = dd_module._integrand
+    evaluations = 0
+
+    def counting(mod):
+        f = original(mod)
+
+        def counted(t):
+            nonlocal evaluations
+            evaluations += 1
+            return f(t)
+
+        return counted
+
+    monkeypatch.setattr(dd_module, "_integrand", counting)
+    monkeypatch.setattr(verify, "REGISTRY", verify.REGISTRY[:1])
+    row = run_suite(kappa, 200, 0, 1e-8).checks[0]
+    assert row.name == "d-ode-real-axis" and row.passed, (row.error, row.max_residual)
+    assert evaluations <= 10_000
 
 
 @pytest.mark.parametrize("kappa", [1e-3, 0.5, 0.99])
