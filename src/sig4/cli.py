@@ -159,7 +159,7 @@ def periods(kappa, as_csv):
     """Half-periods of both lattices at a modulus, plus both period ratios."""
     try:
         ctx = make_context(kappa)
-        yctx = make_y4_context(ctx.modulus.lam)
+        yctx = make_y4_context(ctx.modulus)
         ratio_dd = period_ratio(ctx.modulus)
     except (DomainError, ConvergenceError) as exc:
         click.echo(f"error: {exc}", err=True)
@@ -188,7 +188,7 @@ def invariants(kappa):
     """Invariants and midpoint values of both lattices at a modulus."""
     try:
         ctx = make_context(kappa)
-        yctx = make_y4_context(ctx.modulus.lam)
+        yctx = make_y4_context(ctx.modulus)
     except (DomainError, ConvergenceError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

@@ -13,11 +13,12 @@ lam = sqrt(1 - kappa^2):
 * on the real axis  d(u) = cos(arcsin(kappa sin phi(u)))
                         = sqrt(1 - kappa^2 sin^2 phi(u)),
 * the elliptic extension dd of d to the plane satisfies
-  (1 - dd)(1/3 + p) = kappa^2 / 2 against the coperiodic Weierstrass
-  function p with invariants g2 = (3 lam^2 + 1)/3, g3 = (9 lam^2 - 1)/27,
-  and that product form is how ``dd`` is evaluated, on the real axis too.
-  The real-axis composition ``d_real`` stays available as an independent
-  cross-check route.
+  (1 - dd)(p - e3) = kappa^2 / 2 against the coperiodic Weierstrass
+  function p with invariants g2 = (3 lam^2 + 1)/3, g3 = (9 lam^2 - 1)/27
+  and lowest root e3 = -1/3.  That product form, with p - e3 from the
+  lattice's root differences, is how ``dd`` is evaluated, on the real
+  axis and near its pole omega' too.  The real-axis composition
+  ``d_real`` stays available as an independent cross-check route.
 
 The real half-period omega admits three independent computations (AGM
 closed form, forward integral, singular trigonometric integral), kept
@@ -34,8 +35,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .hypergeometric import complete_f
-from .numerics import ConvergenceError, DomainError, Interval, PoleError, gauss_legendre, integrate
-from .weierstrass import Invariants, Lattice, MidpointTriple, build_lattice, wp
+from .numerics import ConvergenceError, DomainError, Interval, gauss_legendre, integrate
+from .weierstrass import Invariants, Lattice, MidpointTriple, build_lattice, mobius
 
 _PHI_TOL = 1e-12
 
@@ -172,12 +173,14 @@ class _PhiWalker:
         self._a2 = _branch_gap(mod) ** 2
         self._tol = tol
         self.omega = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
+        self.restart()
+
+    def restart(self) -> None:
         # Start on the integrand's peak, u(pi/2) = omega.  u is convex
         # below pi/2 and concave above, so Newton steps heading away from
         # the peak undershoot and never jump across the 1/lam spike into
         # the next branch.
-        self._T = 0.5 * math.pi
-        self._u = self.omega
+        self._T, self._u = 0.5 * math.pi, self.omega
 
     def seek(self, target: float) -> float:
         f, a2, tol = self._f, self._a2, self._tol
@@ -214,36 +217,31 @@ def _reduce(u: float, two_omega: float) -> tuple[float, int]:
 
 
 def phi(u: float, mod: Modulus, tol: float = _PHI_TOL) -> float:
-    """Inverse of the forward integral: the unique T with u(T) = u.
-
-    Quasi-periodicity phi(u + 2 omega) = phi(u) + pi reduces the problem
-    to [0, 2 omega] before Newton iteration, so the solve always starts
-    inside one monotone branch.  Raises DomainError for a non-finite u.
-    """
-    walker = _PhiWalker(mod, tol)
-    u0, wraps = _reduce(u, 2.0 * walker.omega)
-    return walker.seek(u0) + wraps * math.pi
+    """Inverse of the forward integral, the unique T with u(T) = u: ``phi_many`` at one point."""
+    return phi_many((u,), mod, tol)[0]
 
 
 def phi_many(us: Sequence[float], mod: Modulus, tol: float = _PHI_TOL) -> list[float]:
-    """phi at many points, sharing two continuation walks.
+    """phi at many points, sharing one continuation walker.
 
-    Far cheaper than repeated ``phi`` on dense grids: arguments are
-    reduced by quasi-periodicity and sorted; one walker climbs from the
-    start (pi/2, omega) through the arguments above omega, another
-    descends through those below, each advancing incrementally between
-    neighbours.  Raises DomainError if any argument is not finite.
+    Quasi-periodicity phi(u + 2 omega) = phi(u) + pi reduces the arguments
+    to [0, 2 omega], each branch monotone; sorted, they are walked from
+    the integrand's peak (pi/2, omega), climbing through those above omega,
+    then, restarted there, descending through those below, advancing
+    incrementally between neighbours.  Raises DomainError if any argument
+    is not finite.
     """
-    up, down = _PhiWalker(mod, tol), _PhiWalker(mod, tol)
-    two_omega = 2.0 * up.omega
-    reduced = sorted((*_reduce(u, two_omega), i) for i, u in enumerate(us))
+    walker = _PhiWalker(mod, tol)
+    omega = walker.omega
+    reduced = sorted((*_reduce(u, 2.0 * omega), i) for i, u in enumerate(us))
     out = [0.0] * len(reduced)
     for u0, wraps, i in reduced:
-        if u0 >= up.omega:
-            out[i] = up.seek(u0) + wraps * math.pi
+        if u0 >= omega:
+            out[i] = walker.seek(u0) + wraps * math.pi
+    walker.restart()
     for u0, wraps, i in reversed(reduced):
-        if u0 < up.omega:
-            out[i] = down.seek(u0) + wraps * math.pi
+        if u0 < omega:
+            out[i] = walker.seek(u0) + wraps * math.pi
     return out
 
 
@@ -257,20 +255,13 @@ def d_real(u: float, mod: Modulus) -> float:
 
 
 def dd(z: complex, ctx: DDContext) -> complex:
-    """dd via its Weierstrass product form: dd = 1 - (kappa^2/2)/(1/3 + p).
+    """dd via its Weierstrass product form: dd = 1 - (kappa^2/2)/(p - e3).
 
     At lattice points the p-function pole makes the value 1 (the
     removable point).  Arguments congruent to the imaginary half-period,
-    where 1/3 + p vanishes, are poles of dd.
+    where p - e3 vanishes, are poles of dd.
     """
-    try:
-        p = wp(z, ctx.lattice)
-    except PoleError:
-        return complex(1.0)
-    denom = 1.0 / 3.0 + p
-    if abs(denom) < 1e-12:
-        raise PoleError("dd pole: argument congruent to the imaginary half-period")
-    return 1.0 - (0.5 * ctx.modulus.kappa ** 2) / denom
+    return mobius(z, ctx.lattice, 3, 0.0, 1.0, -0.5 * ctx.modulus.kappa ** 2)
 
 
 def _singular_half_period_integral(angle: float, tol: float) -> float:

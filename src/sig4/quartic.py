@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .numerics import DomainError, PoleError, UnsupportedLatticeError
-from .weierstrass import Invariants, lattice, wp
+from .numerics import DomainError, UnsupportedLatticeError
+from .weierstrass import Invariants, lattice, mobius
 
 _ROOT_RTOL = 1e-10
 
@@ -136,18 +136,5 @@ def solve_quartic_ivp(
         raise UnsupportedLatticeError(
             f"invariant discriminant {inv.discriminant:g} is not positive"
         )
-    lat = lattice(inv)
-    offset = 0.5 * shift.A2   # = f''(w0)/24
-    residue = shift.A3        # = f'(w0)/4
-
-    def solution(z: complex) -> complex:
-        try:
-            p = wp(z, lat)
-        except PoleError:
-            return complex(w0)
-        denom = p - offset
-        if abs(denom) < 1e-12:
-            raise PoleError("argument congruent to a pole of the solution")
-        return w0 + residue / denom
-
-    return solution, inv
+    lat, offset, residue = lattice(inv), 0.5 * shift.A2, shift.A3   # f''(w0)/24, f'(w0)/4
+    return (lambda z: mobius(z, lat, 0, offset, w0, residue)), inv

@@ -139,14 +139,14 @@ def _draw(rng: Lcg64, pp: PeriodPair, avoid: tuple[complex, ...] = ()) -> comple
 def check_pP(z: complex, kappa: float) -> float:
     """|P(z) + 4 p(2iz)|: the quarter-turn relation between the lattices."""
     ctx = make_context(kappa)
-    yctx = make_y4_context(ctx.modulus.lam)
+    yctx = make_y4_context(ctx.modulus)
     return abs(wp(z, yctx.lattice) + 4.0 * wp(2j * z, ctx.lattice))
 
 
 def check_ddy4(z: complex, kappa: float) -> float:
     """Residual of dd(2iz) = 1 + kappa (y4p(z) - mu)/(y4p(z) + mu)."""
     ctx = make_context(kappa)
-    yctx = make_y4_context(ctx.modulus.lam)
+    yctx = make_y4_context(ctx.modulus)
     y = y4_plus(z, yctx)
     mu = yctx.mu_plus
     if abs(y + mu) < 1e-8:
@@ -157,7 +157,7 @@ def check_ddy4(z: complex, kappa: float) -> float:
 def check_ooOO(kappa: float) -> tuple[float, float]:
     """Period transfer residuals: |omega - 2|Omega'|| and ||omega'| - 2 Omega|."""
     ctx = make_context(kappa)
-    yctx = make_y4_context(ctx.modulus.lam)
+    yctx = make_y4_context(ctx.modulus)
     pp, ypp = ctx.lattice.periods, yctx.lattice.periods
     res1 = abs(pp.half_real - 2.0 * ypp.half_imag_mag)
     res2 = abs(pp.half_imag_mag - 2.0 * ypp.half_real)
@@ -488,7 +488,7 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
     except Exception as exc:
         raise RuntimeError(f"context construction failed at stage 'dd': {exc}") from exc
     try:
-        yctx = make_y4_context(ctx.modulus.lam)
+        yctx = make_y4_context(ctx.modulus)
     except Exception as exc:
         raise RuntimeError(f"context construction failed at stage 'y4': {exc}") from exc
 

@@ -6,13 +6,27 @@ a period lattice generated by a positive real period and a purely
 imaginary one.  Evaluation anywhere in the complex plane proceeds by
 
 1. rounding the argument to the nearest point of the half-period lattice,
-   which leaves a remainder w with |w| <= sqrt(omega^2 + |omega'|^2)/2;
+   which leaves a remainder w with |w| <= sqrt(omega^2 + |omega'|^2)/2,
+   or DomainError past 2^53 half-periods, where w keeps no digits;
 2. summing the nome series for p(w) and p'(w) (DLMF 23.8.1) in the frame
    whose real half-period is the shorter one, where q <= exp(-pi) and
    at most 8 terms reach double precision;
 3. unless that point is a full period, adding back the half-period
-   omega_j by the exact law p(omega_j + w) = e_j + (e_j - e_k)(e_j - e_l)
-   /(p(w) - e_j) (DLMF 23.10), free of cancellation near omega_j.
+   omega_a by the exact law (DLMF 23.10), here for p - e_j:
+   p(omega_a + w) - e_j = (e_a - e_j) + F_a/(p(w) - e_a).
+
+Each anchor of ``Lattice`` carries its row of root differences, built
+from d12, d13 and d23 alone, and F_a = (e_a - e_k)(e_a - e_l):
+
+    anchor          row (e_a, e_a - e1, e_a - e2, e_a - e3)    F_a
+    omega           (e1,  0,    d12,  d13)                      d12 d13
+    omega'          (e3, -d13, -d23,  0)                        d13 d23
+    omega + omega'  (e2, -d12,  0,    d23)                     -d12 d23
+    lattice point   the row of e_ref                            None
+
+so the kernel returns p - e_j (j = 0: p) free of cancellation near
+omega_j.  ``mobius`` evaluates the Moebius images head + residue/((p -
+e_j) - shift) of p that dd, y4 and the quartic solution are.
 
 Everything an evaluation reads sits in one frozen ``Lattice``, built
 once.  The dd and y4 lattices are built from their closed-form roots; bare
@@ -30,6 +44,7 @@ from functools import lru_cache
 from .numerics import DomainError, PoleError, agm, solve_depressed_cubic
 
 _POLE_TOL = 1e-12
+_REACH_LO, _REACH_HI = -(2.0 ** 53), 2.0 ** 53   # half-periods: past them w keeps no digits
 
 
 @dataclass(frozen=True)
@@ -97,8 +112,7 @@ class Lattice:
     ``terms`` and ``dterms`` hold b_n and 16 n b_n for n = N .. 1, ``alt`` is
     sum (-1)^n b_n, and e_ref is e1, or e3 when rotated.  ``anchors``, indexed
     by the parities of the nearest half-period point (real bit first), holds
-    (e_j, F_j, e_ref - e_j) with F_j = (e_j - e_k)(e_j - e_l), and
-    (e_ref, None, 0.0) for a lattice point.
+    the (row, F_a) pairs tabled in the module docstring.
     """
 
     invariants: Invariants
@@ -110,7 +124,7 @@ class Lattice:
     terms: tuple[float, ...]
     dterms: tuple[float, ...]
     alt: float
-    anchors: tuple[tuple[float, float | None, float], ...]
+    anchors: tuple[tuple[tuple[float, float, float, float], float | None], ...]
 
 
 def build_lattice(
@@ -122,7 +136,7 @@ def build_lattice(
     with m = (e2-e3)/(e1-e3), 1 - m = (e1-e2)/(e1-e3); each is formed as a
     ratio of differences, so a closed-form triple keeps full relative
     accuracy as two roots merge.  K by AGM, relative error ~1e-15.  The
-    anchor data are products and sums of the same differences.
+    anchor rows and factors are the same differences and their products.
     """
     root = math.sqrt(d13)
     periods = PeriodPair(_complete_k(d12 / d13) / root, _complete_k(d23 / d13) / root)
@@ -135,9 +149,8 @@ def build_lattice(
     terms = tuple(n * q ** (2 * n) / (1.0 - q ** (2 * n)) for n in ns)
     dterms = tuple(16 * n * bn for n, bn in zip(ns, terms))
     alt = sum((-1) ** n * bn for n, bn in zip(ns, terms))
-    e_ref, gaps = (roots.e3, (-d13, 0.0, -d23)) if rotated else (roots.e1, (0.0, d13, d12))
-    factors = (d12 * d13, d13 * d23, -d12 * d23)   # F_j of the anchors e1, e3, e2
-    anchors = ((e_ref, None, 0.0),) + tuple(zip((roots.e1, roots.e3, roots.e2), factors, gaps))
+    r1, r2, r3 = (roots.e1, 0.0, d12, d13), (roots.e2, -d12, 0.0, d23), (roots.e3, -d13, -d23, 0.0)
+    anchors = ((r3 if rotated else r1, None), (r1, d12 * d13), (r3, d13 * d23), (r2, -d12 * d23))
     return Lattice(inv, roots, periods, rotated, math.pi / (2 * a), q, terms, dterms, alt, anchors)
 
 
@@ -153,19 +166,22 @@ def half_periods(inv: Invariants) -> PeriodPair:
     return lattice(inv).periods
 
 
-def _evaluate(z: complex, lat: Lattice | Invariants, prime: bool) -> tuple[complex, complex]:
-    """p at z and, if ``prime``, p' (else 0j), by the series of ``Lattice``."""
+def _evaluate(z: complex, lat: Lattice | Invariants, j: int, prime: bool) -> tuple[complex, complex]:
+    """(p - e_j, p') at z, j = 0 giving p itself and p' 0j unless ``prime``."""
     lat = lattice(lat) if isinstance(lat, Invariants) else lat
     hr, hi = lat.periods.half_real, lat.periods.half_imag_mag
-    sr, si = round(z.real / hr), round(z.imag / hi)
+    x, y = z.real / hr, z.imag / hi
+    if not (_REACH_LO < x < _REACH_HI and _REACH_LO < y < _REACH_HI):
+        raise DomainError(f"argument {z} lies 2^53 or more half-periods out")
+    sr, si = round(x), round(y)
     w = complex(z.real - sr * hr, z.imag - si * hi)
-    e, f, gap = lat.anchors[(sr & 1) | (si & 1) << 1]
+    row, f = lat.anchors[(sr & 1) | (si & 1) << 1]
     if f is None and abs(w) < _POLE_TOL:
         raise PoleError(f"p-function pole: argument within {_POLE_TOL:g} of the lattice")
     if f is not None and w == 0:
-        return complex(e), 0j
-    c = lat.scale
-    v = c * complex(w.imag, -w.real) if lat.rotated else c * w
+        return complex(row[j]), 0j
+    c, rotated = lat.scale, lat.rotated
+    v = c * complex(w.imag, -w.real) if rotated else c * w
     sin_v, cos_v = cmath.sin(v), cmath.cos(v)
     cot = cos_v / sin_v
     # Clenshaw's form of the Chebyshev recurrence in x = cos 2v, twice = 2x:
@@ -179,22 +195,35 @@ def _evaluate(z: complex, lat: Lattice | Invariants, prime: bool) -> tuple[compl
             s1, s2 = dbn + twice * s1 - s2, s1
         dp = c * c * c * (2.0 * sin_v * cos_v * s1 - 2.0 * cot / (sin_v * sin_v))
     p = c * c * (cot * cot - 8.0 * (0.5 * twice * b1 - b2 - lat.alt))   # p(w) - e_ref
-    if lat.rotated:
+    if rotated:
         p, dp = -p, 1j * dp
     if f is None:
-        return e + p, dp
-    q = 1.0 / (p + gap)
-    return e + f * q, -f * dp * q * q
+        return row[j] + p, dp
+    q = 1.0 / (p - row[3 if rotated else 1])   # 1/(p(w) - e_a)
+    return row[j] + f * q, -f * dp * q * q
 
 
 def wp(z: complex, lat: Lattice | Invariants) -> complex:
     """Weierstrass p at ``z`` on a lattice, or on the lattice of bare invariants."""
-    return _evaluate(z, lat, False)[0]
+    return _evaluate(z, lat, 0, False)[0]
 
 
 def wp_prime(z: complex, lat: Lattice | Invariants) -> complex:
     """Derivative p' at ``z``; vanishes at the half-period points."""
-    return _evaluate(z, lat, True)[1]
+    return _evaluate(z, lat, 0, True)[1]
+
+
+def mobius(z: complex, lat: Lattice, j: int, shift: float, head: float, residue: float) -> complex:
+    """head + residue/((p - e_j) - shift) at ``z``: ``head`` at the lattice points,
+    PoleError where |value - head| would pass 1/_POLE_TOL."""
+    try:
+        p = _evaluate(z, lat, j, False)[0]
+    except PoleError:
+        return complex(head)
+    denom = p - shift
+    if abs(denom) < _POLE_TOL * abs(residue):
+        raise PoleError("argument congruent to a pole of the Moebius image of p")
+    return head + residue / denom
 
 
 def wp_quarter_values(lat: Lattice | Invariants) -> tuple[float, float]:

@@ -5,15 +5,18 @@ For a parameter lam in (0, 1) the equation is
     (y')^2 = T4(y) - (1 - 2 lam^2) = 8 y^4 - 8 y^2 + 2 lam^2,
 
 whose right-hand side has the four simple real zeros +-mu_plus, +-mu_minus
-with mu_{+-} = sqrt((1 +- kappa)/2) and kappa = sqrt(1 - lam^2).  The
-solution starting at mu_plus has the Weierstrass form
+with mu_plus = sqrt((1 + kappa)/2), mu_minus = lam/(2 mu_plus) (that is
+sqrt((1 - kappa)/2) without its cancellation) and kappa = sqrt(1 - lam^2).
+The solution starting at mu_plus has the Weierstrass form
 
-    y4_plus = mu_plus * (1 + 4 kappa / (P - (4/3 + 2 kappa)))
+    y4_plus = mu_plus * (1 + 4 kappa / ((P - E1) - 2 kappa)),   E1 = 4/3,
 
-with P the p-function for G2 = (16/3)(1 + 3 lam^2), G3 = (64/27)(1 - 9 lam^2).
-The mu_minus solution is the same formula with kappa negated; the
-half-period shift laws relating the four solutions are then checkable
-facts rather than definitions.
+with P the p-function for G2 = (16/3)(1 + 3 lam^2), G3 = (64/27)(1 - 9 lam^2)
+and P - E1 from the lattice's root differences.  The mu_minus solution is
+the same formula with kappa negated; the half-period shift laws relating
+the four solutions are then checkable facts rather than definitions.
+Built from the dd ``Modulus`` (kappa, lam), the y4 lattice is the dd
+lattice turned by a quarter.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numerics import DomainError, PoleError
-from .weierstrass import Invariants, Lattice, MidpointTriple, build_lattice, wp
-
-_POLE_TOL = 1e-12
+from .dd import Modulus
+from .numerics import DomainError
+from .weierstrass import Invariants, Lattice, MidpointTriple, build_lattice, mobius
 
 
 def chebyshev_t4(t: float) -> float:
@@ -46,47 +48,36 @@ class Y4Context:
 
 
 @lru_cache(maxsize=128)
-def make_y4_context(lam: float) -> Y4Context:
-    """Quartic roots and p-lattice for ``lam``, from the closed-form roots.
+def make_y4_context(param: Modulus | float) -> Y4Context:
+    """Quartic roots and p-lattice for the dd modulus pair, or for a bare lam in (0, 1).
 
     E = (4/3, 2 lam - 2/3, -2/3 - 2 lam), so E1 - E2 = 2 kappa^2/(1 + lam),
     E1 - E3 = 2 (1 + lam) and E2 - E3 = 4 lam.
     """
-    if not (0.0 < lam < 1.0):
-        raise DomainError(f"parameter must lie in (0, 1), got {lam}")
-    kappa = math.sqrt((1.0 - lam) * (1.0 + lam))
+    if isinstance(param, Modulus):
+        kappa, lam = param.kappa, param.lam
+    elif 0.0 < param < 1.0:
+        lam = param
+        kappa = math.sqrt((1.0 - lam) * (1.0 + lam))
+    else:
+        raise DomainError(f"parameter must lie in (0, 1), got {param}")
     lam2 = lam * lam
     inv = Invariants(16.0 / 3.0 * (1.0 + 3.0 * lam2), 64.0 / 27.0 * (1.0 - 9.0 * lam2))
     roots = MidpointTriple(4.0 / 3.0, 2.0 * lam - 2.0 / 3.0, -2.0 / 3.0 - 2.0 * lam)
     gaps = (2.0 * kappa * kappa / (1.0 + lam), 2.0 * (1.0 + lam), 4.0 * lam)
-    return Y4Context(
-        lam=lam,
-        kappa=kappa,
-        mu_plus=math.sqrt(0.5 * (1.0 + kappa)),
-        mu_minus=math.sqrt(0.5 * (1.0 - kappa)),
-        lattice=build_lattice(inv, roots, *gaps),
-    )
-
-
-def _mobius(z: complex, ctx: Y4Context, kappa: float, mu: float) -> complex:
-    try:
-        big_p = wp(z, ctx.lattice)
-    except PoleError:
-        return complex(mu)  # removable point: P blows up, bracket tends to 1
-    denom = big_p - (4.0 / 3.0 + 2.0 * kappa)
-    if abs(denom) < _POLE_TOL:
-        raise PoleError("argument congruent to a pole of the solution")
-    return mu * (1.0 + 4.0 * kappa / denom)
+    mu_plus = math.sqrt(0.5 * (1.0 + kappa))
+    return Y4Context(lam, kappa, mu_plus, lam / (2.0 * mu_plus), build_lattice(inv, roots, *gaps))
 
 
 def y4_plus(z: complex, ctx: Y4Context) -> complex:
     """The solution with value mu_plus at 0; poles congruent to +-half_real/2."""
-    return _mobius(z, ctx, ctx.kappa, ctx.mu_plus)
+    return mobius(z, ctx.lattice, 1, 2.0 * ctx.kappa, ctx.mu_plus, 4.0 * ctx.kappa * ctx.mu_plus)
 
 
 def y4_minus(z: complex, ctx: Y4Context) -> complex:
     """The solution with value mu_minus at 0: y4_plus with kappa negated."""
-    return _mobius(z, ctx, -ctx.kappa, ctx.mu_minus)
+    k, mu = ctx.kappa, ctx.mu_minus
+    return mobius(z, ctx.lattice, 1, -2.0 * k, mu, -4.0 * k * mu)
 
 
 def y4_zeros_poles(ctx: Y4Context) -> tuple[complex, complex]:

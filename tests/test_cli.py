@@ -113,6 +113,16 @@ def test_non_finite_arguments_are_usage_errors(args):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("args", [
+    ["wp", "--g2", "1", "--g3", "0"], ["dd", "--kappa", "0.5"], ["y4plus", "--kappa", "0.5"],
+], ids=["wp", "dd", "y4plus"])
+def test_huge_finite_argument_is_an_error(args):
+    # 1e300 lies far past 2^53 half-periods: its reduction keeps no digits
+    result = _invoke(["eval", *args, "--z", "1e300"])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: ")
+
+
 def test_non_numeric_sig4_tol_is_usage_error():
     result = _invoke(["verify", "--kappa", "0.5", "--n", "2"], env={"SIG4_TOL": "tight"})
     assert result.exit_code == 2

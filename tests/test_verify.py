@@ -27,7 +27,7 @@ def test_y4_zero_start_avoids_every_pole_image(kappa):
     assert check.passed, check.max_residual
 
 
-@pytest.mark.parametrize("kappa", [0.999, 0.9999])
+@pytest.mark.parametrize("kappa", [0.999, 0.9999, 1.0 - 1e-9])
 def test_all_identities_near_kappa_one(kappa):
     report = run_suite(kappa, 200, 0, 1e-8)
     assert [c.name for c in report.checks if not c.passed] == []
@@ -36,11 +36,12 @@ def test_all_identities_near_kappa_one(kappa):
 @pytest.mark.parametrize("kappa", [1e-4, 1e-3])
 def test_y4_equation_rows_at_small_kappa(kappa):
     # y' comes from p', which must keep its relative accuracy where |p'| is
-    # small on the nearly degenerate y4 lattice
+    # small on the nearly degenerate y4 lattice; dd-y4-bridge needs dd and
+    # y4 to take p - e_j from one modulus pair.  Only the quartic solver's
+    # rows, whose roots come from the invariants by Viete, may fail here
     report = run_suite(kappa, 200, 0, 1e-8)
-    rows = {c.name: c for c in report.checks}
-    assert rows["y4-ode"].passed, rows["y4-ode"].max_residual
-    assert rows["y4-zero-start"].passed, rows["y4-zero-start"].max_residual
+    failed = {c.name: c.max_residual for c in report.checks if not c.passed}
+    assert set(failed) <= {"quartic-ivp-dd", "quartic-ivp-y4"}, failed
 
 
 def test_real_axis_equation_at_kappa_nearest_one():

@@ -7,17 +7,20 @@ import random
 import mpmath
 import pytest
 
-from sig4.dd import make_context
+from sig4.dd import dd, make_context
 from sig4.numerics import DomainError, PoleError
+from sig4.quartic import solve_quartic_ivp
+from sig4.verify import dd_equation_quartic
 from sig4.weierstrass import (
     Invariants,
     half_periods,
+    lattice,
     midpoints,
     wp,
     wp_prime,
     wp_quarter_values,
 )
-from sig4.y4 import make_y4_context
+from sig4.y4 import make_y4_context, y4_minus, y4_plus
 
 # invariants of the two lattices at kappa = 0.6 / lam = 0.8
 INV_DD = Invariants(0.9733333333333333, 0.17629629629629628)
@@ -300,3 +303,46 @@ def test_invariants_reject_nonfinite():
         Invariants(math.inf, 0.0)
     with pytest.raises(DomainError):
         Invariants(1.0, math.nan)
+
+
+def _mobius_images():
+    """(function, value at the lattice points, a pole) for every caller of ``mobius``."""
+    ctx = make_context(0.5)
+    yctx = make_y4_context(ctx.modulus)
+    hr, hi = yctx.lattice.periods.half_real, yctx.lattice.periods.half_imag_mag
+    solution, inv = solve_quartic_ivp(dd_equation_quartic(ctx.modulus.lam), 1.0)
+    return {
+        "dd": (lambda z: dd(z, ctx), 1.0, complex(0.0, ctx.lattice.periods.half_imag_mag)),
+        "y4_plus": (lambda z: y4_plus(z, yctx), yctx.mu_plus, complex(0.5 * hr, 0.0)),
+        "y4_minus": (lambda z: y4_minus(z, yctx), yctx.mu_minus, complex(0.5 * hr, hi)),
+        "quartic": (solution, 1.0, complex(0.0, lattice(inv).periods.half_imag_mag)),
+    }
+
+
+@pytest.mark.parametrize("name", ["dd", "y4_plus", "y4_minus", "quartic"])
+def test_mobius_removable_point_and_pole(name):
+    # p's pole is removable in each Moebius image: the value there is the
+    # head; the image's own pole raises, also one period away
+    function, head, pole = _mobius_images()[name]
+    assert function(0.0) == complex(head)
+    with pytest.raises(PoleError):
+        function(pole)
+    with pytest.raises(PoleError):
+        function(-pole)
+
+
+@pytest.mark.parametrize("kind", ["dd", "y4"])
+def test_huge_arguments_raise_domain_error(kind):
+    # past 2^53 half-periods the reduced argument keeps no digits
+    lat, _ = _lattice_and_roots(kind, 0.5)
+    hr, hi = lat.periods.half_real, lat.periods.half_imag_mag
+    for z in (complex(2.0 ** 53 * hr, 0.0), complex(0.0, -(2.0 ** 53) * hi),
+              complex(1e300, 0.5), complex(math.inf, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(DomainError):
+            wp(z, lat)
+        with pytest.raises(DomainError):
+            wp_prime(z, lat)
+    with pytest.raises(DomainError):
+        dd(1e300, make_context(0.5))
+    with pytest.raises(DomainError):
+        y4_plus(1e300, make_y4_context(0.5))

@@ -3,8 +3,10 @@
 import math
 import random
 
+import mpmath
 import pytest
 
+from sig4.dd import make_context
 from sig4.numerics import DomainError, PoleError
 from sig4.weierstrass import wp
 from sig4.y4 import (
@@ -58,6 +60,23 @@ def test_context_root_identities(ctx):
     # all four zeros of 8y^4 - 8y^2 + 2 lam^2
     for root in (ctx.mu_plus, -ctx.mu_plus, ctx.mu_minus, -ctx.mu_minus):
         assert abs(chebyshev_t4(root) - (1.0 - 2.0 * ctx.lam ** 2)) <= 1e-13
+
+
+def test_context_from_the_dd_modulus_is_the_turned_dd_lattice():
+    # given the pair (kappa, lam) itself, the y4 lattice has the dd nome;
+    # kappa recovered from the float lam moves it by 1.4e-8 at kappa = 1e-4
+    dd_ctx = make_context(1e-4)
+    nome = make_y4_context(dd_ctx.modulus).lattice.nome
+    assert abs(nome - dd_ctx.lattice.nome) <= 1e-15 * dd_ctx.lattice.nome
+
+
+def test_mu_minus_nearest_one():
+    # mu_minus = lam/(2 mu_plus) has no 1 - kappa to cancel
+    kappa = 1.0 - 1e-9
+    ctx = make_y4_context(make_context(kappa).modulus)
+    with mpmath.workdps(40):
+        ref = mpmath.sqrt((1 - mpmath.mpf(kappa)) / 2)
+        assert abs(ctx.mu_minus / ref - 1) <= 1e-15
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
