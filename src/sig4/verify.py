@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .dd import DDContext, dd, make_context, omega_prime, omega_three_ways, phi_many
 from .hypergeometric import complete_f
@@ -139,19 +139,25 @@ def _draw(rng: Lcg64, pp: PeriodPair, avoid: tuple[complex, ...] = ()) -> comple
 def check_pP(z: complex, kappa: float) -> float:
     """|P(z) + 4 p(2iz)|: the quarter-turn relation between the lattices."""
     ctx = make_context(kappa)
-    yctx = make_y4_context(ctx.modulus)
+    return _pP(ctx, make_y4_context(ctx.modulus), z)
+
+
+def _pP(ctx: DDContext, yctx: Y4Context, z: complex) -> float:
     return abs(wp(z, yctx.lattice) + 4.0 * wp(2j * z, ctx.lattice))
 
 
 def check_ddy4(z: complex, kappa: float) -> float:
     """Residual of dd(2iz) = 1 + kappa (y4p(z) - mu)/(y4p(z) + mu)."""
     ctx = make_context(kappa)
-    yctx = make_y4_context(ctx.modulus)
+    return _ddy4(ctx, make_y4_context(ctx.modulus), z)
+
+
+def _ddy4(ctx: DDContext, yctx: Y4Context, z: complex) -> float:
     y = y4_plus(z, yctx)
     mu = yctx.mu_plus
     if abs(y + mu) < 1e-8:
         raise PoleError("denominator y4 + mu_plus vanishes")
-    return abs(dd(2j * z, ctx) - (1.0 + kappa * (y - mu) / (y + mu)))
+    return abs(dd(2j * z, ctx) - (1.0 + ctx.modulus.kappa * (y - mu) / (y + mu)))
 
 
 def check_ooOO(kappa: float) -> tuple[float, float]:
@@ -369,20 +375,14 @@ def _run_y4_zero_start(s: SuiteInputs):
 
 def _run_wp_quarter_turn(s: SuiteInputs):
     """P(z) = -4 p(2iz), plus the exact invariant scaling (2i)^4, (2i)^6."""
-    kappa = s.ctx.modulus.kappa
     inv, yinv = s.ctx.lattice.invariants, s.yctx.lattice.invariants
     scale_res = max(abs(16.0 * inv.g2 - yinv.g2), abs(-64.0 * inv.g3 - yinv.g3))
-
-    def residual(z: complex) -> float:
-        return check_pP(z, kappa)
-
-    sampled = _sampled_max(s.n, s.rng, s.yctx.lattice.periods, (), residual)
+    sampled = _sampled_max(s.n, s.rng, s.yctx.lattice.periods, (), partial(_pP, s.ctx, s.yctx))
     return _with_unplaced(sampled, scale_res)
 
 
 def _run_dd_y4_bridge(s: SuiteInputs):
     """dd(2iz) = 1 + kappa (y4p - mu)/(y4p + mu) away from the branch pole."""
-    kappa = s.ctx.modulus.kappa
     pp = s.yctx.lattice.periods
     half = 0.5 * pp.half_real
     avoid = (
@@ -391,11 +391,7 @@ def _run_dd_y4_bridge(s: SuiteInputs):
         complex(pp.half_real, 0.0),
         complex(-pp.half_real, 0.0),
     )
-
-    def residual(z: complex) -> float:
-        return check_ddy4(z, kappa)
-
-    return _sampled_max(s.n, s.rng, pp, avoid, residual)
+    return _sampled_max(s.n, s.rng, pp, avoid, partial(_ddy4, s.ctx, s.yctx))
 
 
 def _run_period_transfer(s: SuiteInputs):

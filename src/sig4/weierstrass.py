@@ -215,13 +215,14 @@ def wp_prime(z: complex, lat: Lattice | Invariants) -> complex:
 
 def mobius(z: complex, lat: Lattice, j: int, shift: float, head: float, residue: float) -> complex:
     """head + residue/((p - e_j) - shift) at ``z``: ``head`` at the lattice points,
-    PoleError where |value - head| would pass 1/_POLE_TOL."""
+    PoleError where |value - head| would pass 1/_POLE_TOL or, for absolute p
+    (j = 0, whose rounding is absolute), where |denominator| < _POLE_TOL."""
     try:
         p = _evaluate(z, lat, j, False)[0]
     except PoleError:
         return complex(head)
     denom = p - shift
-    if abs(denom) < _POLE_TOL * abs(residue):
+    if abs(denom) < _POLE_TOL * (abs(residue) if j else max(abs(residue), 1.0)):
         raise PoleError("argument congruent to a pole of the Moebius image of p")
     return head + residue / denom
 

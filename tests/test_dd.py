@@ -256,29 +256,24 @@ class TestDD:
             dd(complex(0.0, OMEGA_PRIME), ctx)
 
     @pytest.mark.parametrize("kappa", [1e-4, 1e-3, 1.38e-3])
-    def test_near_pole_against_oracle(self, kappa):
+    def test_near_pole_against_mpmath(self, kappa):
         # p - e3 comes from the root differences, so 1 - dd keeps its
         # relative accuracy where p -> e3 on a nearly degenerate lattice.
-        # Closer in than 0.03, the oracle's own roots (polyroots at 30
-        # digits) limit it at kappa = 1e-4
-        from sig4bench.oracle import DDRef
-
+        # Reference: the Jacobi form on the closed-form roots,
+        # dd = 1 - (1 - lam) sn^2(sqrt((1 + lam)/2) z | (1 - lam)/(1 + lam))
         small = make_context(kappa)
-        ref = DDRef(kappa)
         pole = complex(0.0, small.lattice.periods.half_imag_mag)
-        for distance in (0.03, 0.1, 0.3):
-            for turn in range(8):
-                z = pole + distance * complex(math.cos(turn * math.pi / 4 + 0.1),
-                                              math.sin(turn * math.pi / 4 + 0.1))
-                value = dd(z, small)
-                assert abs(value - complex(ref(z))) <= 1e-11 * max(1.0, abs(value)), z
-
-    def test_pole_test_is_relative(self):
-        # at kappa = 1e-4, p - e3 is only 2.5e-15 at 1e-3 from the pole, yet
-        # dd there is finite, about 2e6; only |dd - 1| past 1e12 is the pole
-        small = make_context(1e-4)
-        pole = complex(0.0, small.lattice.periods.half_imag_mag)
-        assert 1e6 < abs(dd(pole + 1e-3, small)) < 1e7
+        with mpmath.workdps(40):
+            lam = mpmath.sqrt(1 - mpmath.mpf(kappa) ** 2)
+            scale, m = mpmath.sqrt((1 + lam) / 2), (1 - lam) / (1 + lam)
+            for distance in (1e-3, 0.01, 0.1, 0.3):
+                for turn in range(8):
+                    z = pole + distance * complex(math.cos(turn * math.pi / 4 + 0.1),
+                                                  math.sin(turn * math.pi / 4 + 0.1))
+                    sn = mpmath.ellipfun("sn", scale * mpmath.mpc(z), m=m)
+                    ref = complex(1 - (1 - lam) * sn ** 2)
+                    value = dd(z, small)
+                    assert abs(value - ref) <= 1e-11 * max(1.0, abs(value)), z
 
     def test_matches_real_axis_route(self, ctx):
         # wp product form against the phi/psi composition

@@ -331,6 +331,19 @@ def test_mobius_removable_point_and_pole(name):
         function(-pole)
 
 
+def test_absolute_p_keeps_an_absolute_pole_floor():
+    # at kappa = 0.5 the dd equation's solution from w0 = 1 has A3 = -1/8.
+    # Near omega', p - e3 ~ (e3 - e1)(e3 - e2) dz^2 = (kappa^2/4) dz^2, so at
+    # dz = sqrt(8e-12), p - e3 = 5e-13: dd, on p - e3, which is relatively
+    # accurate, is finite; the solution, on absolute p, raises
+    ctx = make_context(0.5)
+    z = complex(math.sqrt(8e-12), ctx.lattice.periods.half_imag_mag)
+    solution, _ = solve_quartic_ivp(dd_equation_quartic(ctx.modulus.lam), 1.0)
+    assert abs(dd(z, ctx)) == pytest.approx(0.125 / 5e-13, rel=1e-3)
+    with pytest.raises(PoleError):
+        solution(z)
+
+
 @pytest.mark.parametrize("kind", ["dd", "y4"])
 def test_huge_arguments_raise_domain_error(kind):
     # past 2^53 half-periods the reduced argument keeps no digits
