@@ -9,7 +9,6 @@ that turns each defining identity into a checked residual.
 
 from .numerics import (
     ConvergenceError,
-    DEFAULT_TOL,
     DomainError,
     Interval,
     PoleError,
@@ -17,7 +16,7 @@ from .numerics import (
     integrate,
     solve_depressed_cubic,
 )
-from .hypergeometric import complete_f, f_half_closed, hyp2f1
+from .hypergeometric import complete_f, hyp2f1
 from .weierstrass import (
     Invariants,
     Lattice,
@@ -29,7 +28,6 @@ from .weierstrass import (
     midpoints,
     wp,
     wp_prime,
-    wp_quarter_values,
 )
 from .dd import (
     DDContext,
@@ -39,15 +37,12 @@ from .dd import (
     forward_integral,
     make_context,
     make_modulus,
-    omega_prime,
-    omega_three_ways,
     period_ratio,
     phi,
     phi_many,
 )
 from .y4 import (
     Y4Context,
-    chebyshev_t4,
     make_y4_context,
     y4_minus,
     y4_plus,
@@ -72,6 +67,8 @@ from .verify import (
     check_final_remark,
     check_ooOO,
     check_pP,
+    omega_prime,
+    omega_three_ways,
     run_suite,
 )
 

@@ -4,12 +4,12 @@ Subcommands: ``eval`` (single function value), ``periods`` (half-period
 table), ``invariants`` (invariant pairs and midpoint values), ``table``
 (CSV grid of function values), ``verify`` (identity suite, JSON report).
 
-The real-axis functions take their cheapest production route: ``d`` is
-the real part of ``dd`` (the Weierstrass product form), and ``table phi``
-inverts the forward integral for the whole grid in one ``phi_many``
-walk, whose Newton steps integrate with graded Gauss-Legendre panels.
-The composition ``d_real`` is left to the identity suite and the tests as
-the independent check.
+Every value comes from the closed forms on the lattice: ``d`` is the real
+part of ``dd`` (the Weierstrass product form), and ``phi`` is read off
+p - e1 on the real axis.  ``--kappa`` is the dd modulus everywhere: y4plus
+and y4minus take their lattice from its modulus pair (kappa, lam), as
+``periods``, ``invariants`` and ``verify`` do, so a ``worst_z`` of a y4
+row reproduces through ``eval``; ``--lambda`` gives them a bare lam.
 
 Exit codes: 0 success, 1 numerical or verification failure, 2 usage
 error; a literal or grid point that overflows a float is a usage error.
@@ -29,7 +29,7 @@ import sys
 
 import click
 
-from .dd import dd, make_context, make_modulus, period_ratio, phi, phi_many
+from .dd import dd, make_context, make_modulus, period_ratio, phi
 from .numerics import ConvergenceError, DomainError, PoleError
 from .weierstrass import Invariants, wp
 from .y4 import make_y4_context, y4_minus, y4_plus
@@ -108,9 +108,8 @@ def _evaluate(function: str, z: complex, kappa, lam, g2, g3):
             _require(kappa is not None, "dd requires --kappa")
             return dd(z, make_context(kappa))
         if function in ("y4plus", "y4minus"):
-            param = lam if lam is not None else kappa
-            _require(param is not None, f"{function} requires --lambda (or --kappa)")
-            ctx = make_y4_context(param)
+            _require(lam is not None or kappa is not None, f"{function} requires --kappa or --lambda")
+            ctx = make_y4_context(lam if lam is not None else make_context(kappa).modulus)
             return y4_plus(z, ctx) if function == "y4plus" else y4_minus(z, ctx)
         if function == "wp":
             _require(g2 is not None and g3 is not None, "wp requires --g2 and --g3")
@@ -131,9 +130,10 @@ def main() -> None:
 @main.command("eval")
 @click.argument("function", type=click.Choice(_EVAL_FUNCTIONS))
 @click.option("--z", "z_text", required=True, help="complex argument, 'a+bi'")
-@click.option("--kappa", type=_UNIT_OPEN, default=None, help="modulus in (0,1)")
+@click.option("--kappa", type=_UNIT_OPEN, default=None,
+              help="dd modulus in (0,1); y4plus/y4minus use its complement as lam")
 @click.option("--lambda", "lam", type=_UNIT_OPEN, default=None,
-              help="quartic parameter in (0,1) for y4plus/y4minus")
+              help="bare quartic parameter lam in (0,1) for y4plus/y4minus")
 @click.option("--g2", type=float, default=None, help="invariant g2 (wp only)")
 @click.option("--g3", type=float, default=None, help="invariant g3 (wp only)")
 def cmd_eval(function, z_text, kappa, lam, g2, g3):
@@ -223,12 +223,7 @@ def table(function, kappa, lam, g2, g3, start, stop, steps, imag):
     _require(all(map(math.isfinite, xs)) and math.isfinite(imag),
              "--from, --to and --imag must give finite grid points")
     try:
-        if function == "phi":
-            # one continuation walk serves the whole grid
-            _require_real_line(function, imag, kappa)
-            values = phi_many(xs, make_modulus(kappa))
-        else:
-            values = [_evaluate(function, complex(x, imag), kappa, lam, g2, g3) for x in xs]
+        values = [_evaluate(function, complex(x, imag), kappa, lam, g2, g3) for x in xs]
     except (DomainError, ConvergenceError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

@@ -3,8 +3,9 @@
 Both values the package needs have closed forms, and production code
 uses only those:
 
-* 2F1(1/4, 3/4; 1/2; sin^2 z) = cos(z/2)/cos(z)  (``f_half_closed``; the
-  forward integral of ``dd`` takes it as sqrt((1+c)/2)/c with c = cos z),
+* 2F1(1/4, 3/4; 1/2; sin^2 z) = cos(z/2)/cos(z), the integrand of the
+  forward integral of ``dd``, which integrates it in closed form by
+  Carlson's R_F,
 * 2F1(1/4, 3/4; 1; k^2) = 1/AGM(sqrt(1+k), sqrt(1-k))  (``complete_f``),
   by the quadratic transformation (DLMF 15.8; Berndt, Bhargava and
   Garvan, Trans. AMS 347, 1995).
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .numerics import ConvergenceError, DomainError, PoleError, agm
+from .numerics import ConvergenceError, DomainError, agm
 
 _MAX_TERMS = 20000
 
@@ -64,14 +65,6 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
             return total
         n += 1
     raise ConvergenceError(f"2F1 series did not converge at x={x} within {_MAX_TERMS} terms")
-
-
-def f_half_closed(z: float) -> float:
-    """cos(z/2)/cos(z), the closed form of 2F1(1/4, 3/4; 1/2; sin^2 z)."""
-    cz = math.cos(z)
-    if abs(cz) < 1e-14:
-        raise PoleError(f"cos(z) vanishes at z={z}")
-    return math.cos(0.5 * z) / cz
 
 
 def complete_f(k: float, k_c: float) -> float:

@@ -2,14 +2,14 @@
 
 Scalar building blocks used throughout the package:
 
-* tanh-sinh (double-exponential) quadrature, tolerant of inverse
-  square-root endpoint singularities; it serves only the singular
-  half-period integrals of ``dd``,
-* the nodes and weights of the Gauss-Legendre rule, behind the panel
-  rule that integrates the smooth forward integral u(T) of ``dd``,
+* Carlson's symmetric elliptic integral R_F by duplication, behind the
+  forward integral u(T) of ``dd``,
+* the arithmetic-geometric mean, behind every complete elliptic value,
 * the depressed cubic ``4 t^3 - g2 t - g3`` solved by the trigonometric
   (Viete) method for the three-real-root regime,
-* the arithmetic-geometric mean, behind every complete elliptic value.
+* tanh-sinh (double-exponential) quadrature, tolerant of inverse
+  square-root endpoint singularities; only the identity suite's
+  trigonometric half-period integrals use it.
 
 Everything here is a pure function over value types and safe for
 concurrent use.
@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-#: library-wide default absolute tolerance
-DEFAULT_TOL = 1e-12
-
 _MAX_LEVEL = 12
 _UMAX = 5.0  # abscissa cutoff; weights below ~1e-100 there
+# R_F duplication stops once 4^-n Q < A_n, Q = (3 r)^(-1/8) max|A_0 - x_0|, r = 2^-53
+_RF_Q = (3.0 * 2.0 ** -53) ** (-1.0 / 8.0)
 
 
 class DomainError(ValueError):
@@ -93,7 +92,7 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
     return nodes
 
 
-def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TOL) -> float:
+def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> float:
     """Integrate ``f`` over ``iv`` to absolute tolerance ``tol``.
 
     The integrand may blow up like an inverse square root at either
@@ -141,31 +140,6 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float = DEFAULT_TO
     )
 
 
-def gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
-    """The n-point Gauss-Legendre rule on [-1, 1] as (node, weight) pairs.
-
-    Only the nodes x > 0 are returned, in decreasing order; -x carries the
-    same weight, and n must be even, so no node sits at 0.  For n = 8,
-    Newton's method on P_n from the Tricomi start
-    cos(pi (i - 1/4)/(n + 1/2)) reaches rounding within five of its eight
-    steps.  The weight is 2/((1 - x^2) P_n'^2), with 1 - x^2 formed as
-    (1 - x)(1 + x) so the outer weights keep full accuracy.
-    """
-    if n < 2 or n % 2:
-        raise DomainError(f"gauss_legendre needs an even n >= 2, got {n}")
-    pairs = []
-    for i in range(1, n // 2 + 1):
-        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
-        for _ in range(8):
-            p_prev, p = 1.0, x
-            for k in range(2, n + 1):
-                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-            dp = n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
-            x -= p / dp
-        pairs.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)))
-    return tuple(pairs)
-
-
 def solve_depressed_cubic(g2: float, g3: float) -> tuple[float, float, float]:
     """Real roots of ``4 t^3 - g2 t - g3 = 0``, sorted descending.
 
@@ -194,3 +168,33 @@ def agm(a: float, b: float) -> float:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return 0.5 * (a + b)
+
+
+def carlson_rf(x: float, y: float, z: float) -> float:
+    """R_F(x, y, z) = (1/2) int_0^inf dt/sqrt((t + x)(t + y)(t + z)).
+
+    Duplication (Carlson, Numer. Algorithms 10, 1995): each step maps
+    every argument v to (v + l)/4, l = sqrt(x y) + sqrt(y z) + sqrt(z x),
+    and cuts the spread about the mean A by 4, until A dominates it; the
+    series of DLMF 19.36.1 through degree 7 in the scaled deviations
+    X = (A_0 - x_0)/(4^n A_n), ... then has relative error about 2^-53.
+    Needs finite x, y, z >= 0, at most one of them 0.
+    """
+    if not (x >= 0.0 and y >= 0.0 and z >= 0.0 and min(x + y, y + z, z + x) > 0.0
+            and x + y + z < math.inf):
+        raise DomainError(f"R_F needs finite non-negative arguments, at most one 0: {x}, {y}, {z}")
+    a0 = a = (x + y + z) / 3.0
+    dx, dy = a0 - x, a0 - y
+    q = _RF_Q * max(abs(dx), abs(dy), abs(a0 - z))
+    scale = 1.0
+    while q * scale >= a:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        scale *= 0.25
+    X, Y = dx * scale / a, dy * scale / a
+    Z = -(X + Y)
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    series = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
+              - 5.0 * e2 ** 3 / 208.0 + 3.0 * e3 * e3 / 104.0 + e2 * e2 * e3 / 16.0)
+    return series / math.sqrt(a)

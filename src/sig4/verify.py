@@ -11,6 +11,13 @@ time taken, and assembles a report that is deterministic apart from the
 times.  An identity whose runner raises a numerical error becomes a
 failed row that names the error; the remaining identities still run.
 
+Production code computes each quantity one way, in closed form: p from
+its nome series, dd, y4 and phi from p - e_j, the forward integral by
+Carlson's R_F and the complete values by the AGM.  The independent second
+routes live here: the half-periods by the trigonometric integrals under
+tanh-sinh quadrature (``omega_three_ways``, ``omega_prime``), and phi
+through its differential equation by central differences.
+
 Sampling uses a self-contained 64-bit linear congruential generator
 (state' = state * 6364136223846793005 + 1442695040888963407 mod 2^64,
 uniform doubles from the top 53 bits) so that a (kappa, n, seed, tol)
@@ -24,9 +31,9 @@ import time
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .dd import DDContext, dd, make_context, omega_prime, omega_three_ways, phi_many
+from .dd import DDContext, Modulus, dd, forward_integral, make_context, phi_many
 from .hypergeometric import complete_f
-from .numerics import DomainError, PoleError
+from .numerics import DomainError, Interval, PoleError, integrate
 from .quartic import QuarticCoefficients, solve_quartic_ivp
 from .weierstrass import PeriodPair, wp, wp_prime
 from .y4 import (
@@ -130,6 +137,51 @@ def _draw(rng: Lcg64, pp: PeriodPair, avoid: tuple[complex, ...] = ()) -> comple
         if any(abs(z - a) < margin for a in avoid):
             continue
         return z
+
+
+# ----------------------------------------------------------------------
+# the half-periods by trigonometric quadrature, independent of the lattice
+
+
+def _singular_half_period_integral(angle: float, tol: float) -> float:
+    """int_0^angle cos(t/2)/sqrt(cos 2t - cos 2*angle) dt.
+
+    The difference of cosines is written 2 sin(t + angle) sin(angle - t)
+    and the variable flipped so the inverse square-root singularity sits
+    at 0, where tanh-sinh nodes resolve it exactly.
+    """
+
+    def f(t: float) -> float:
+        return math.cos(0.5 * (angle - t)) / math.sqrt(
+            2.0 * math.sin(2.0 * angle - t) * math.sin(t)
+        )
+
+    return integrate(f, Interval(0.0, angle), tol)
+
+
+def omega_three_ways(mod: Modulus, tol: float = 1e-12) -> tuple[float, float, float]:
+    """The real half-period by three independent routes.
+
+    closed:       (pi/2) 2F1(1/4,3/4;1;kappa^2), by the AGM closed form
+    via_integral: the forward integral at pi/2, by Carlson's R_F
+    via_trig:     sqrt(2) int_0^alpha cos(t/2)/sqrt(cos 2t - cos 2 alpha) dt,
+                  by tanh-sinh quadrature to ``tol``
+    """
+    closed = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
+    via_integral = forward_integral(0.5 * math.pi, mod)
+    via_trig = math.sqrt(2.0) * _singular_half_period_integral(mod.alpha, tol)
+    return closed, via_integral, via_trig
+
+
+def omega_prime(mod: Modulus, tol: float = 1e-12) -> float:
+    """Magnitude of the imaginary half-period, by quadrature.
+
+    Computed as 2 int_0^beta cos(t/2)/sqrt(cos 2t - cos 2 beta) dt; it
+    also equals (pi/sqrt2) 2F1(1/4,3/4;1;lam^2), that is
+    (pi/sqrt2) complete_f(lam, kappa), and the lattice route,
+    ``make_context(kappa).lattice.periods``, gives the same number.
+    """
+    return 2.0 * _singular_half_period_integral(mod.beta, tol)
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +294,7 @@ def _run_d_ode(s: SuiteInputs):
     targets = []
     for u in us:
         targets.extend((u - h, u, u + h))
-    phis = phi_many(targets, mod, tol=1e-13)
+    phis = phi_many(targets, mod)
     k2 = mod.kappa ** 2
     lam2 = mod.lam ** 2
 

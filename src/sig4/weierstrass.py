@@ -226,14 +226,3 @@ def mobius(z: complex, lat: Lattice, j: int, shift: float, head: float, residue:
         raise PoleError("argument congruent to a pole of the Moebius image of p")
     return head + residue / denom
 
-
-def wp_quarter_values(lat: Lattice | Invariants) -> tuple[float, float]:
-    """p at half of the real half-period, and at that point plus the imaginary one.
-
-    Closed forms in the midpoint values:
-        p(half_real/2)          = e1 + sqrt((e1-e2)(e1-e3))
-        p(half_real/2 + imag)   = e1 - sqrt((e1-e2)(e1-e3))
-    """
-    e = (lattice(lat) if isinstance(lat, Invariants) else lat).roots
-    root = math.sqrt((e.e1 - e.e2) * (e.e1 - e.e3))
-    return e.e1 + root, e.e1 - root

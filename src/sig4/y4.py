@@ -30,12 +30,6 @@ from .numerics import DomainError
 from .weierstrass import Invariants, Lattice, MidpointTriple, build_lattice, mobius
 
 
-def chebyshev_t4(t: float) -> float:
-    """Degree-four Chebyshev polynomial, T4(cos x) = cos 4x."""
-    t2 = t * t
-    return 8.0 * t2 * t2 - 8.0 * t2 + 1.0
-
-
 @dataclass(frozen=True)
 class Y4Context:
     """Parameter bundle for one lam: quartic roots and the p-lattice."""

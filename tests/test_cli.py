@@ -1,6 +1,7 @@
 """The Click front end: exit codes, the real-axis tables and the periods at both ends."""
 
 import json
+import sys
 
 import click
 import mpmath
@@ -9,8 +10,9 @@ from click.testing import CliRunner
 
 import sig4.verify as verify
 from sig4.cli import main, parse_complex
-from sig4.dd import d_real, make_modulus, phi
+from sig4.dd import d_real, dd, forward_integral, make_context, make_modulus, phi, phi_many
 from sig4.numerics import ConvergenceError
+from sig4.y4 import make_y4_context, y4_plus
 
 
 def _invoke(args, env=None):
@@ -63,20 +65,54 @@ def test_table_phi_matches_scalar_phi():
     mod = make_modulus(0.5)
     for x, y, re_f, im_f in _table("phi", 0.5, -3.0, 7.0, 20):
         assert y == 0.0 and im_f == 0.0
-        assert abs(re_f - phi(x, mod)) <= 1e-11
+        assert re_f == phi(x, mod)
 
 
-def test_table_d_matches_quadrature_route():
-    mod = make_modulus(0.5)
-    for x, y, re_f, im_f in _table("d", 0.5, -3.0, 7.0, 20):
-        assert y == 0.0 and im_f == 0.0
-        assert abs(re_f - d_real(x, mod)) <= 1e-9
+def test_table_d_matches_jacobi_form():
+    # d = 1 - (1 - lam) sn^2(sqrt((1 + lam)/2) u | (1 - lam)/(1 + lam))
+    with mpmath.workdps(40):
+        lam = mpmath.sqrt(1 - mpmath.mpf(0.5) ** 2)
+        scale, m = mpmath.sqrt((1 + lam) / 2), (1 - lam) / (1 + lam)
+        for x, y, re_f, im_f in _table("d", 0.5, -3.0, 7.0, 20):
+            assert y == 0.0 and im_f == 0.0
+            assert abs(re_f - (1 - (1 - lam) * mpmath.ellipfun("sn", scale * x, m=m) ** 2)) <= 1e-15
 
 
 def test_eval_d_is_real_part_of_dd():
     result = _invoke(["eval", "d", "--kappa", "0.5", "--z", "1.3"])
     assert result.exit_code == 0
-    assert abs(float(result.output) - d_real(1.3, make_modulus(0.5))) <= 1e-9
+    assert float(result.output) == dd(1.3, make_context(0.5)).real == d_real(1.3, make_modulus(0.5))
+
+
+def test_real_axis_runs_without_quadrature(monkeypatch):
+    # phi, u(T) and d are closed forms: quadrature and the 2F1 series stay unused
+    def unused(*args, **kwargs):
+        raise AssertionError("quadrature or series called on a real-axis path")
+
+    for name, module in list(sys.modules.items()):
+        if name == "sig4" or name.startswith("sig4."):
+            for attr in ("integrate", "hyp2f1"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, unused)
+    for kappa in (1e-4, 0.5, 1.0 - 2.0 ** -52):
+        mod = make_modulus(kappa)
+        assert phi_many([-9.0, 0.3, 40.0], mod) == [phi(u, mod) for u in (-9.0, 0.3, 40.0)]
+        assert forward_integral(7.0, mod) > 0.0
+        assert mod.lam <= d_real(2.5, mod) <= 1.0
+        _table("phi", kappa, -30.0, 30.0, 40)
+
+
+def test_y4_worst_z_replays_through_eval():
+    # --kappa is the dd modulus for y4 too, so the suite's worst sample
+    # reproduces its value, and so its residual, through the CLI
+    row = next(c for c in verify.run_suite(1e-3, 200, 0, 1e-8).checks if c.name == "y4-ode")
+    z = row.worst_z
+    result = _invoke(["eval", "y4plus", "--kappa", "0.001", "--z", f"{z.real!r}{z.imag:+}i"])
+    assert result.exit_code == 0, result.output
+    value = parse_complex(result.output)
+    yctx = make_y4_context(make_context(1e-3).modulus)
+    assert value == y4_plus(z, yctx)
+    assert verify._y4_ode_residual(value, z, yctx) == row.max_residual
 
 
 @pytest.mark.parametrize("function", ["phi", "d"])

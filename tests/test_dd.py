@@ -5,27 +5,59 @@ import random
 
 import mpmath
 import pytest
+from click.testing import CliRunner
 
+from sig4.cli import main
 from sig4.dd import (
-    _integrand,
     d_real,
     dd,
     forward_integral,
     make_context,
     make_modulus,
-    omega_prime,
-    omega_three_ways,
     period_ratio,
     phi,
     phi_many,
 )
 from sig4.hypergeometric import hyp2f1
-from sig4.numerics import DomainError, PoleError
+from sig4.numerics import DomainError, Interval, PoleError, integrate
+from sig4.verify import omega_prime, omega_three_ways
 from sig4.weierstrass import wp
 
 # frozen oracle values at kappa = 0.6 (Pochhammer series route)
 OMEGA = 1.7048753139729174
 OMEGA_PRIME = 2.6654053438223957
+
+# from the smallest moduli to the two largest doubles below 1
+KAPPAS = [1e-8, 1e-4, 0.5, 0.9999, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53]
+
+
+def _jacobi(kappa):
+    """(lam, scale, m) of the Jacobi form, at the exact lam of the float kappa.
+
+    dd(z) = 1 - (1 - lam) sn^2(scale z | m), scale = sqrt((1 + lam)/2),
+    m = (1 - lam)/(1 + lam), in the caller's working precision.
+    """
+    lam = mpmath.sqrt(1 - mpmath.mpf(kappa) ** 2)
+    return lam, mpmath.sqrt((1 + lam) / 2), (1 - lam) / (1 + lam)
+
+
+def _jacobi_phi(u, kappa):
+    """phi(u) from the amplitude theta = am(scale u | m), at 40 digits.
+
+    sin^2 phi = (1 - d^2)/kappa^2 with 1 - d = (1 - lam) sin^2 theta gives
+    tan phi = tan theta sqrt((2 - (1 - lam) s^2)/(1 + lam - (1 - lam) s^2)),
+    s = sin theta, and am(x + 2K) = am(x) + pi carries the branch.
+    """
+    with mpmath.workdps(40):
+        lam, scale, m = _jacobi(kappa)
+        x = scale * mpmath.mpf(u)
+        two_k = 2 * mpmath.ellipk(m)
+        wraps = mpmath.nint(x / two_k)
+        x -= wraps * two_k
+        sn, cn = mpmath.ellipfun("sn", x, m=m), mpmath.ellipfun("cn", x, m=m)
+        angle = mpmath.atan2(sn * mpmath.sqrt(2 - (1 - lam) * sn ** 2),
+                             cn * mpmath.sqrt(1 + lam - (1 - lam) * sn ** 2))
+        return wraps * mpmath.pi + angle
 
 
 @pytest.fixture(scope="module")
@@ -114,14 +146,16 @@ class TestForwardIntegral:
 
     @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9, 0.99])
     def test_closed_integrand_matches_series(self, kappa):
-        # where the series is accurate, kappa^2 sin^2 t <= 0.9
-        f = _integrand(make_modulus(kappa))
-        for i in range(64):
-            t = 0.05 * i
-            x = (kappa * math.sin(t)) ** 2
-            if x <= 0.9:
-                series = hyp2f1(0.25, 0.75, 0.5, x)
-                assert abs(f(t) - series) <= 1e-13 * series
+        # the integral of the closed integrand, by R_F, against the series
+        # integrated by tanh-sinh where it is accurate, kappa^2 sin^2 t <= 0.9
+        mod = make_modulus(kappa)
+        for i in range(1, 33):
+            T = 0.05 * i
+            if (kappa * math.sin(T)) ** 2 > 0.9:
+                break
+            series = integrate(lambda t: hyp2f1(0.25, 0.75, 0.5, (kappa * math.sin(t)) ** 2),
+                               Interval(0.0, T), 1e-15)
+            assert abs(forward_integral(T, mod) - series) <= 1e-13 * series, T
 
 
 class TestPhi:
@@ -144,17 +178,14 @@ class TestPhi:
 
     def test_phi_many_matches_scalar(self, ctx):
         us = [-3.5, -0.4, 0.0, 1.1, 2.9, 6.2]
-        batch = phi_many(us, ctx.modulus)
-        for u, got in zip(us, batch):
-            assert got == pytest.approx(phi(u, ctx.modulus), abs=1e-10)
+        assert phi_many(us, ctx.modulus) == [phi(u, ctx.modulus) for u in us]
 
     @pytest.mark.parametrize("kappa", [0.9999, 1.0 - 1e-6])
     def test_scalar_matches_many_near_one(self, kappa):
         mod = make_modulus(kappa)
         omega = omega_three_ways(mod)[0]
         us = [2.0 * omega * i / 40 for i in range(41)]
-        for u, got in zip(us, phi_many(us, mod)):
-            assert abs(phi(u, mod) - got) <= 1e-11
+        assert phi_many(us, mod) == [phi(u, mod) for u in us]
 
     def test_phi_many_against_mpmath_nearest_one(self):
         kappa = 1.0 - 1e-9
@@ -190,7 +221,29 @@ class TestPhi:
                         break
                 else:
                     raise AssertionError(f"reference Newton stalled at u={u}")
-                assert abs(T_float - (T + wraps * mpmath.pi)) <= 5e-12, u
+                assert abs(T_float - (T + wraps * mpmath.pi)) <= 1e-14, u
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_against_jacobi_form(self, kappa):
+        # u = -28.63 at 1 - 2^-52 is where an earlier route was off by
+        # 0.092 and raised nothing
+        mod = make_modulus(kappa)
+        omega = make_context(kappa).lattice.periods.half_real
+        us = [0.0, omega, 2.0 * omega, -omega] + [3.0 * omega * (i / 30 - 1) for i in range(61)]
+        if kappa == 1.0 - 2.0 ** -52:
+            us.append(-28.63163922408218)
+        many = phi_many(us, mod)
+        for u, got in zip(us, many):
+            assert got == phi(u, mod)
+            assert abs(got - _jacobi_phi(u, kappa)) <= 1e-14, u
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_round_trip_through_forward_integral(self, kappa):
+        # two independent closed forms, R_F forward and p - e1 back
+        mod = make_modulus(kappa)
+        for i in range(161):
+            T = 2.0 * math.pi * (i / 80 - 1)
+            assert abs(phi(forward_integral(T, mod), mod) - T) <= 4e-15 * max(1.0, abs(T)), T
 
     def test_sign_flip_of_sin_phi(self, ctx):
         # sin(phi) switches sign on translation by 2 omega
@@ -210,6 +263,17 @@ def test_non_finite_arguments_rejected(ctx):
             phi(bad, ctx.modulus)
         with pytest.raises(DomainError):
             phi_many([0.5, bad], ctx.modulus)
+
+
+def test_table_phi_nearest_one_matches_jacobi_form():
+    kappa = 1.0 - 2.0 ** -52
+    result = CliRunner().invoke(main, ["table", "phi", "--kappa", repr(kappa), "--from", "-30",
+                                       "--to", "30", "--steps", "40"])
+    assert result.exit_code == 0, result.output
+    rows = [[float(v) for v in line.split(",")] for line in result.output.splitlines()[1:]]
+    assert len(rows) == 41
+    for x, _, re_f, im_f in rows:
+        assert abs(re_f - _jacobi_phi(x, kappa)) <= 1e-14 and im_f == 0.0, x
 
 
 def test_phi_of_huge_finite_argument(ctx):
@@ -264,8 +328,7 @@ class TestDD:
         small = make_context(kappa)
         pole = complex(0.0, small.lattice.periods.half_imag_mag)
         with mpmath.workdps(40):
-            lam = mpmath.sqrt(1 - mpmath.mpf(kappa) ** 2)
-            scale, m = mpmath.sqrt((1 + lam) / 2), (1 - lam) / (1 + lam)
+            lam, scale, m = _jacobi(kappa)
             for distance in (1e-3, 0.01, 0.1, 0.3):
                 for turn in range(8):
                     z = pole + distance * complex(math.cos(turn * math.pi / 4 + 0.1),
@@ -276,10 +339,13 @@ class TestDD:
                     assert abs(value - ref) <= 1e-11 * max(1.0, abs(value)), z
 
     def test_matches_real_axis_route(self, ctx):
-        # wp product form against the phi/psi composition
-        for u in (0.7, 0.13, 1.9, 2.8, -1.2):
-            assert dd(u, ctx).real == pytest.approx(d_real(u, ctx.modulus), abs=1e-9)
-            assert abs(dd(u, ctx).imag) <= 1e-9
+        # on the real axis, against the Jacobi form at 40 digits
+        with mpmath.workdps(40):
+            lam, scale, m = _jacobi(0.6)
+            for u in (0.7, 0.13, 1.9, 2.8, -1.2):
+                ref = 1 - (1 - lam) * mpmath.ellipfun("sn", scale * u, m=m) ** 2
+                assert abs(dd(u, ctx).real - ref) <= 1e-15
+                assert dd(u, ctx).imag == 0.0
 
     def test_product_identity_residual(self, ctx):
         rng = random.Random(13)
@@ -313,7 +379,7 @@ class TestDD:
         targets = []
         for u in us:
             targets.extend((u - h, u, u + h))
-        phis = phi_many(targets, ctx.modulus, tol=1e-13)
+        phis = phi_many(targets, ctx.modulus)
         for i in range(0, len(targets), 3):
             dm, d0, dp = (
                 math.sqrt(1 - 0.36 * math.sin(p) ** 2) for p in phis[i : i + 3]

@@ -1,7 +1,9 @@
-"""Quadrature, root finding, and the depressed cubic."""
+"""Quadrature, Carlson's R_F, root finding, and the depressed cubic."""
 
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from sig4.numerics import (
     ConvergenceError,
     DomainError,
     Interval,
-    gauss_legendre,
+    carlson_rf,
     integrate,
     solve_depressed_cubic,
 )
@@ -87,16 +89,28 @@ class TestIntegrate:
         assert abs(combined - split) <= 2.0 * tol * (1.0 + abs(a) + abs(b))
 
 
-def test_gauss_legendre_integrates_polynomials_exactly():
-    # the 8-point rule is exact for degree <= 15
-    pairs = gauss_legendre(8)
-    assert len(pairs) == 4 and all(0.0 < x < 1.0 and w > 0.0 for x, w in pairs)
-    for k in range(16):
-        value = sum(w * (x ** k + (-x) ** k) for x, w in pairs)
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert abs(value - exact) <= 1e-15, k
-    with pytest.raises(DomainError):
-        gauss_legendre(7)
+class TestCarlsonRF:
+    def test_against_mpmath(self):
+        # arguments over 15 decades, every third set with one zero
+        rng = random.Random(5)
+        with mpmath.workdps(40):
+            for i in range(300):
+                args = [10.0 ** rng.uniform(-12.0, 3.0) for _ in range(3)]
+                if i % 3 == 0:
+                    args[i % 9 // 3] = 0.0
+                ref = mpmath.elliprf(*(mpmath.mpf(v) for v in args))
+                assert abs(carlson_rf(*args) - ref) <= 1e-15 * ref, args
+
+    def test_closed_values(self):
+        # R_F(x, x, x) = x^(-1/2) and R_F(0, 1, 1) = K(0) = pi/2
+        assert carlson_rf(4.0, 4.0, 4.0) == 0.5
+        assert carlson_rf(0.0, 1.0, 1.0) == pytest.approx(0.5 * math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("args", [(-1.0, 1.0, 1.0), (0.0, 0.0, 1.0), (1.0, math.nan, 1.0),
+                                      (1.0, 1.0, math.inf)])
+    def test_domain(self, args):
+        with pytest.raises(DomainError):
+            carlson_rf(*args)
 
 
 class TestDepressedCubic:

@@ -45,7 +45,7 @@ def test_y4_equation_rows_at_small_kappa(kappa):
 
 
 def test_real_axis_equation_at_kappa_nearest_one():
-    # the phi walk's step tolerance scales with the integrand's 1/lam peak
+    # phi, read off p - e1, keeps its accuracy at the integrand's 1/lam peak
     report = run_suite(1.0 - 1e-9, 200, 0, 1e-8)
     row = next(c for c in report.checks if c.name == "d-ode-real-axis")
     assert row.error is None and row.passed, (row.error, row.max_residual)
@@ -53,26 +53,22 @@ def test_real_axis_equation_at_kappa_nearest_one():
 
 @pytest.mark.parametrize("kappa", [1e-4, 0.5, 0.9999, 1.0 - 1e-9])
 def test_real_axis_equation_work(kappa, monkeypatch):
-    # graded Gauss-Legendre panels: 8 integrand evaluations per short Newton step
+    # phi is closed form: one p - e1 evaluation per point of the three-point
+    # stencils
     dd_module = sys.modules["sig4.dd"]
-    original = dd_module._integrand
+    original = dd_module._evaluate
     evaluations = 0
 
-    def counting(mod):
-        f = original(mod)
+    def counted(*args):
+        nonlocal evaluations
+        evaluations += 1
+        return original(*args)
 
-        def counted(t):
-            nonlocal evaluations
-            evaluations += 1
-            return f(t)
-
-        return counted
-
-    monkeypatch.setattr(dd_module, "_integrand", counting)
+    monkeypatch.setattr(dd_module, "_evaluate", counted)
     monkeypatch.setattr(verify, "REGISTRY", verify.REGISTRY[:1])
     row = run_suite(kappa, 200, 0, 1e-8).checks[0]
     assert row.name == "d-ode-real-axis" and row.passed, (row.error, row.max_residual)
-    assert evaluations <= 10_000
+    assert evaluations == 3 * 200
 
 
 @pytest.mark.parametrize("kappa", [1e-3, 0.5, 0.99])

@@ -18,7 +18,6 @@ from sig4.weierstrass import (
     midpoints,
     wp,
     wp_prime,
-    wp_quarter_values,
 )
 from sig4.y4 import make_y4_context, y4_minus, y4_plus
 
@@ -30,6 +29,18 @@ INV_Y4 = Invariants(15.573333333333332, -11.282962962962962)
 # omega = (pi/2) F(1/4,3/4;1;0.36), |omega'| = (pi/sqrt2) F(1/4,3/4;1;0.64)
 OMEGA = 1.7048753139729174
 OMEGA_PRIME = 2.6654053438223957
+
+
+def wp_quarter_values(inv: Invariants) -> tuple[float, float]:
+    """p at half of the real half-period, and at that point plus the imaginary one.
+
+    Closed forms in the midpoint values:
+        p(half_real/2)          = e1 + sqrt((e1-e2)(e1-e3))
+        p(half_real/2 + imag)   = e1 - sqrt((e1-e2)(e1-e3))
+    """
+    e = midpoints(inv)
+    root = math.sqrt((e.e1 - e.e2) * (e.e1 - e.e3))
+    return e.e1 + root, e.e1 - root
 
 
 def test_midpoints_dd_lattice():
