@@ -37,7 +37,6 @@ from .dd import (
     forward_integral,
     make_context,
     make_modulus,
-    period_ratio,
     phi,
     phi_many,
 )

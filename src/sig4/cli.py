@@ -5,8 +5,9 @@ table), ``invariants`` (invariant pairs and midpoint values), ``table``
 (CSV grid of function values), ``verify`` (identity suite, JSON report).
 
 Every value comes from the closed forms on the lattice: ``d`` is the real
-part of ``dd`` (the Weierstrass product form), and ``phi`` is read off
-p - e1 on the real axis.  ``--kappa`` is the dd modulus everywhere: y4plus
+part of ``dd`` (the Weierstrass product form), ``phi`` is read off p - e1
+on the real axis, and ``periods`` reads both ratios i|omega'|/omega off
+the two lattices.  ``--kappa`` is the dd modulus everywhere: y4plus
 and y4minus take their lattice from its modulus pair (kappa, lam), as
 ``periods``, ``invariants`` and ``verify`` do, so a ``worst_z`` of a y4
 row reproduces through ``eval``; ``--lambda`` gives them a bare lam.
@@ -29,7 +30,7 @@ import sys
 
 import click
 
-from .dd import dd, make_context, make_modulus, period_ratio, phi
+from .dd import dd, make_context, make_modulus, phi
 from .numerics import ConvergenceError, DomainError, PoleError
 from .weierstrass import Invariants, wp
 from .y4 import make_y4_context, y4_minus, y4_plus
@@ -160,19 +161,17 @@ def periods(kappa, as_csv):
     try:
         ctx = make_context(kappa)
         yctx = make_y4_context(ctx.modulus)
-        ratio_dd = period_ratio(ctx.modulus)
     except (DomainError, ConvergenceError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     pp, ypp = ctx.lattice.periods, yctx.lattice.periods
-    ratio_y4 = complex(0.0, ypp.half_imag_mag / ypp.half_real)
     rows = [
         ("omega", fmt_real(pp.half_real)),
         ("omega_prime_mag", fmt_real(pp.half_imag_mag)),
         ("Omega", fmt_real(ypp.half_real)),
         ("Omega_prime_mag", fmt_real(ypp.half_imag_mag)),
-        ("ratio_dd", fmt_complex(ratio_dd)),
-        ("ratio_y4", fmt_complex(ratio_y4)),
+        ("ratio_dd", fmt_complex(complex(0.0, pp.half_imag_mag / pp.half_real))),
+        ("ratio_y4", fmt_complex(complex(0.0, ypp.half_imag_mag / ypp.half_real))),
     ]
     if as_csv:
         click.echo(",".join(name for name, _ in rows))

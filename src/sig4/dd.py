@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .hypergeometric import complete_f
 from .numerics import DomainError, PoleError, carlson_rf
 from .weierstrass import Invariants, Lattice, MidpointTriple, _evaluate, build_lattice, mobius
 
@@ -166,12 +165,3 @@ def dd(z: complex, ctx: DDContext) -> complex:
     """
     return mobius(z, ctx.lattice, 3, 0.0, 1.0, -0.5 * ctx.modulus.kappa ** 2)
 
-
-def period_ratio(mod: Modulus) -> complex:
-    """Lattice shape parameter: i sqrt(2) F(lam^2)/F(kappa^2), purely imaginary.
-
-    F(x^2) = 2F1(1/4,3/4;1;x^2) comes from the AGM closed form ``complete_f``.
-    """
-    return complex(
-        0.0, math.sqrt(2.0) * complete_f(mod.lam, mod.kappa) / complete_f(mod.kappa, mod.lam)
-    )

@@ -11,12 +11,12 @@ time taken, and assembles a report that is deterministic apart from the
 times.  An identity whose runner raises a numerical error becomes a
 failed row that names the error; the remaining identities still run.
 
-Production code computes each quantity one way, in closed form: p from
-its nome series, dd, y4 and phi from p - e_j, the forward integral by
-Carlson's R_F and the complete values by the AGM.  The independent second
-routes live here: the half-periods by the trigonometric integrals under
-tanh-sinh quadrature (``omega_three_ways``, ``omega_prime``), and phi
-through its differential equation by central differences.
+Production code computes each quantity one way, in closed form: p - e_j
+as a squared theta quotient, dd, y4 and phi from it, the forward integral
+by Carlson's R_F and the complete values by the AGM.  The independent
+second routes live here: the half-periods by the trigonometric integrals
+under tanh-sinh quadrature (``omega_three_ways``, ``omega_prime``), and
+phi through its differential equation by central differences.
 
 Sampling uses a self-contained 64-bit linear congruential generator
 (state' = state * 6364136223846793005 + 1442695040888963407 mod 2^64,
@@ -107,7 +107,6 @@ class VerificationReport:
     kappa: float
     seed: int
     tol: float
-    wp_terms: dict[str, int]   # p-series length of the dd and the y4 lattice
     checks: list[IdentityCheck]
     wall_time_ms: float
 
@@ -120,7 +119,6 @@ class VerificationReport:
             "kappa": self.kappa,
             "seed": self.seed,
             "tol": self.tol,
-            "wp_terms": self.wp_terms,
             "checks": [c.to_json_dict() for c in self.checks],
             "wall_time_ms": self.wall_time_ms,
         }
@@ -554,5 +552,4 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
         passed = error is None and worst <= tol
         checks.append(IdentityCheck(name, samples, worst, tol, passed, elapsed, worst_z, error))
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    wp_terms = {"dd": len(ctx.lattice.terms), "y4": len(yctx.lattice.terms)}
-    return VerificationReport(kappa, seed, tol, wp_terms, checks, elapsed_ms)
+    return VerificationReport(kappa, seed, tol, checks, elapsed_ms)

@@ -8,25 +8,15 @@ imaginary one.  Evaluation anywhere in the complex plane proceeds by
 1. rounding the argument to the nearest point of the half-period lattice,
    which leaves a remainder w with |w| <= sqrt(omega^2 + |omega'|^2)/2,
    or DomainError past 2^53 half-periods, where w keeps no digits;
-2. summing the nome series for p(w) and p'(w) (DLMF 23.8.1) in the frame
-   whose real half-period is the shorter one, where q <= exp(-pi) and
-   at most 8 terms reach double precision;
-3. unless that point is a full period, adding back the half-period
-   omega_a by the exact law (DLMF 23.10), here for p - e_j:
-   p(omega_a + w) - e_j = (e_a - e_j) + F_a/(p(w) - e_a).
+2. the four Jacobi thetas at w, each a fixed cubic in cos 2v, in the
+   frame whose real half-period is the shorter one, where q <= exp(-pi);
+3. p - e_j = head + K (theta_N/theta_D)^2 (DLMF 23.6.2-4, moved to the
+   anchor by the half-period shifts of DLMF 20.2(iii)), and p' likewise.
 
-Each anchor of ``Lattice`` carries its row of root differences, built
-from d12, d13 and d23 alone, and F_a = (e_a - e_k)(e_a - e_l):
-
-    anchor          row (e_a, e_a - e1, e_a - e2, e_a - e3)    F_a
-    omega           (e1,  0,    d12,  d13)                      d12 d13
-    omega'          (e3, -d13, -d23,  0)                        d13 d23
-    omega + omega'  (e2, -d12,  0,    d23)                     -d12 d23
-    lattice point   the row of e_ref                            None
-
-so the kernel returns p - e_j (j = 0: p) free of cancellation near
-omega_j.  ``mobius`` evaluates the Moebius images head + residue/((p -
-e_j) - shift) of p that dd, y4 and the quartic solution are.
+K is a product of the root differences d12, d13 and d23, and no root gap
+is ever added, so p - e_j (j = 0: p) keeps its relative accuracy however
+close two roots are.  ``mobius`` evaluates the Moebius images head +
+residue/((p - e_j) - shift) of p that dd, y4 and the quartic solution are.
 
 Everything an evaluation reads sits in one frozen ``Lattice``, built
 once.  The dd and y4 lattices are built from their closed-form roots; bare
@@ -103,16 +93,17 @@ def _complete_k(m_c: float) -> float:
 class Lattice:
     """One rectangular lattice, computed once: what every p evaluation reads.
 
-    The series frame has real half-period a = min(omega, |omega'|), imaginary
-    one b = max(omega, |omega'|), and is entered by z -> -iz when ``rotated``
-    (omega > |omega'|), as p(z; L) = -p(-iz; -iL).  With ``scale`` c = pi/(2a),
-    ``nome`` q = exp(-pi b/a), v = c w and b_n = n q^(2n)/(1 - q^(2n)) there,
-        p - e_ref = c^2 [cot^2 v - 8 (sum b_n cos 2nv - alt)],
-        p'        = c^3 [sum 16 n b_n sin 2nv - 2 cot v / sin^2 v],
-    ``terms`` and ``dterms`` hold b_n and 16 n b_n for n = N .. 1, ``alt`` is
-    sum (-1)^n b_n, and e_ref is e1, or e3 when rotated.  ``anchors``, indexed
-    by the parities of the nearest half-period point (real bit first), holds
-    the (row, F_a) pairs tabled in the module docstring.
+    The theta frame has real half-period a = min(omega, |omega'|), and is
+    entered by z -> -iz when ``rotated`` (omega > |omega'|), as p(z; L) =
+    -p(-iz; -iL): root j of L is then root 4 - j of the frame, negated.
+    With ``scale`` c = pi/(2a), ``nome`` q <= exp(-pi), v = c w, x = cos 2v,
+    theta1 = sin v A(x), theta2 = cos v A(-x), theta3 = G(x) and
+    theta4 = G(-x); ``theta`` holds the coefficients (a0, a2, a1, a3, g0,
+    g2, g1, g3) of the cubics A and G.  At omega_anchor + w, anchor the
+    parities of the nearest half-period point (real bit first),
+    ``table[anchor][j]`` = (N, D, K, head) and ``slopes[anchor]`` = K' give
+        p - e_j = head + K (theta_N/theta_D)^2   (j = 0: p itself),
+        p'      = K' theta1 theta2 theta3 theta4 / theta_D^4.
     """
 
     invariants: Invariants
@@ -121,10 +112,23 @@ class Lattice:
     rotated: bool
     scale: float
     nome: float
-    terms: tuple[float, ...]
-    dterms: tuple[float, ...]
-    alt: float
-    anchors: tuple[tuple[tuple[float, float, float, float], float | None], ...]
+    theta: tuple[float, ...]
+    table: tuple[tuple[tuple[int, int, float, float], ...], ...]
+    slopes: tuple[complex, ...]
+
+
+# DLMF 20.2(iii): moving v to the frame's half-period omega_k (by pi/2, pi/2 +
+# pi tau/2 and pi tau/2 for k = 1, 2, 3) permutes the thetas up to one factor.
+# Row k, column j - 1 is (N, D, sign) of p(omega_k + w) - e_j = sign K
+# (theta_N/theta_D)^2; _SLOPE_SIGNS[k] is that of p' = +-K' theta1..theta4/theta_D^4.
+_SHIFTS = (
+    ((2, 1, 1.0), (3, 1, 1.0), (4, 1, 1.0)),
+    ((1, 2, 1.0), (4, 2, 1.0), (3, 2, 1.0)),
+    ((4, 3, -1.0), (1, 3, -1.0), (2, 3, 1.0)),
+    ((3, 4, -1.0), (2, 4, -1.0), (1, 4, 1.0)),
+)
+_SLOPE_SIGNS = (-1.0, 1.0, -1.0, 1.0)
+_ANCHOR_ROOTS = (0, 1, 3, 2)   # parities (real bit first) -> root index of the anchor
 
 
 def build_lattice(
@@ -136,22 +140,37 @@ def build_lattice(
     with m = (e2-e3)/(e1-e3), 1 - m = (e1-e2)/(e1-e3); each is formed as a
     ratio of differences, so a closed-form triple keeps full relative
     accuracy as two roots merge.  K by AGM, relative error ~1e-15.  The
-    anchor rows and factors are the same differences and their products.
+    constants K of p - e_j are the products sqrt(d12 d13), sqrt(d12 d23) and
+    sqrt(d13 d23) of the same differences.  A and G keep the harmonics to
+    sin 7v and cos 6v: on the anchored cell |Im v| <= pi b/(4a), so the
+    first left out is below q^14 <= 2^-56 of the sum.
     """
     root = math.sqrt(d13)
     periods = PeriodPair(_complete_k(d12 / d13) / root, _complete_k(d23 / d13) / root)
     rotated = periods.half_real > periods.half_imag_mag
     a, b = sorted((periods.half_real, periods.half_imag_mag))
     q = math.exp(-math.pi * b / a)
-    # |Im v| <= pi b/(4a) on the anchored cell, so term n is at most about
-    # 4 n q^(1.5 n); keep it while that is >= 2^-56, at most n = 8 for q <= e^-pi
-    ns = [n for n in range(9, 0, -1) if 4 * n * q ** (1.5 * n) >= 2.0 ** -56]
-    terms = tuple(n * q ** (2 * n) / (1.0 - q ** (2 * n)) for n in ns)
-    dterms = tuple(16 * n * bn for n, bn in zip(ns, terms))
-    alt = sum((-1) ** n * bn for n, bn in zip(ns, terms))
-    r1, r2, r3 = (roots.e1, 0.0, d12, d13), (roots.e2, -d12, 0.0, d23), (roots.e3, -d13, -d23, 0.0)
-    anchors = ((r3 if rotated else r1, None), (r1, d12 * d13), (r3, d13 * d23), (r2, -d12 * d23))
-    return Lattice(inv, roots, periods, rotated, math.pi / (2 * a), q, terms, dterms, alt, anchors)
+    # sin((2n+1)v)/sin v and cos 2nv as polynomials in x, n = 0 .. 3
+    lead, q2, q4, q6, q9, q12 = 2.0 * q ** 0.25, q * q, q ** 4, q ** 6, q ** 9, q ** 12
+    theta = (lead * (1.0 - q2 - q6 + q12), lead * 4.0 * (q6 - q12),
+             lead * 2.0 * (q6 + 2.0 * q12 - q2), -8.0 * lead * q12,
+             1.0 - 2.0 * q4, 4.0 * q4, 2.0 * q - 6.0 * q9, 8.0 * q9)
+    frame = (0, 3, 2, 1) if rotated else (0, 1, 2, 3)   # root index <-> frame root index
+    sign, turn = (-1.0, 1j) if rotated else (1.0, 1.0)   # p = -p_frame, p' = i p'_frame
+    ks = (0.0, math.sqrt(d12 * d13), math.sqrt(d12 * d23), math.sqrt(d13 * d23))
+    slope = 2.0 * turn * ks[1] * math.sqrt(d23)   # p'^2 = 4 (p - e1)(p - e2)(p - e3)
+    es = (0.0, roots.e1, roots.e2, roots.e3)
+    table = []
+    for k in _ANCHOR_ROOTS:
+        row = [None]
+        for j in (1, 2, 3):
+            n, d, s = _SHIFTS[frame[k]][frame[j] - 1]
+            row.append((n, d, sign * s * ks[j], 0.0))
+        own = k or frame[1]   # p itself from the frame's own anchor, e_ref at the lattice point
+        row[0] = row[own][:3] + (es[own],)
+        table.append(tuple(row))
+    slopes = tuple(_SLOPE_SIGNS[frame[k]] * slope for k in _ANCHOR_ROOTS)
+    return Lattice(inv, roots, periods, rotated, math.pi / (2 * a), q, theta, tuple(table), slopes)
 
 
 @lru_cache(maxsize=512)
@@ -166,51 +185,42 @@ def half_periods(inv: Invariants) -> PeriodPair:
     return lattice(inv).periods
 
 
-def _evaluate(z: complex, lat: Lattice | Invariants, j: int, prime: bool) -> tuple[complex, complex]:
+def _evaluate(z: complex, lat: Lattice, j: int, prime: bool) -> tuple[complex, complex]:
     """(p - e_j, p') at z, j = 0 giving p itself and p' 0j unless ``prime``."""
-    lat = lattice(lat) if isinstance(lat, Invariants) else lat
     hr, hi = lat.periods.half_real, lat.periods.half_imag_mag
     x, y = z.real / hr, z.imag / hi
     if not (_REACH_LO < x < _REACH_HI and _REACH_LO < y < _REACH_HI):
         raise DomainError(f"argument {z} lies 2^53 or more half-periods out")
     sr, si = round(x), round(y)
     w = complex(z.real - sr * hr, z.imag - si * hi)
-    row, f = lat.anchors[(sr & 1) | (si & 1) << 1]
-    if f is None and abs(w) < _POLE_TOL:
+    anchor = (sr & 1) | (si & 1) << 1
+    if not anchor and abs(w) < _POLE_TOL:
         raise PoleError(f"p-function pole: argument within {_POLE_TOL:g} of the lattice")
-    if f is not None and w == 0:
-        return complex(row[j]), 0j
-    c, rotated = lat.scale, lat.rotated
-    v = c * complex(w.imag, -w.real) if rotated else c * w
+    v = lat.scale * (complex(w.imag, -w.real) if lat.rotated else w)
     sin_v, cos_v = cmath.sin(v), cmath.cos(v)
-    cot = cos_v / sin_v
-    # Clenshaw's form of the Chebyshev recurrence in x = cos 2v, twice = 2x:
-    # sum b_n cos 2nv = x b1 - b2 (T_n), sum 16 n b_n sin 2nv = sin 2v s1 (U_(n-1))
-    twice = 2.0 * (cos_v * cos_v - sin_v * sin_v)
-    b1 = b2 = s1 = s2 = dp = 0j
-    for bn in lat.terms:
-        b1, b2 = bn + twice * b1 - b2, b1
-    if prime:
-        for dbn in lat.dterms:
-            s1, s2 = dbn + twice * s1 - s2, s1
-        dp = c * c * c * (2.0 * sin_v * cos_v * s1 - 2.0 * cot / (sin_v * sin_v))
-    p = c * c * (cot * cot - 8.0 * (0.5 * twice * b1 - b2 - lat.alt))   # p(w) - e_ref
-    if rotated:
-        p, dp = -p, 1j * dp
-    if f is None:
-        return row[j] + p, dp
-    q = 1.0 / (p - row[3 if rotated else 1])   # 1/(p(w) - e_a)
-    return row[j] + f * q, -f * dp * q * q
+    t = 1.0 - 2.0 * sin_v * sin_v   # cos 2v
+    tt = t * t
+    a0, a2, a1, a3, g0, g2, g1, g3 = lat.theta
+    a_even, a_odd = a0 + a2 * tt, (a1 + a3 * tt) * t
+    g_even, g_odd = g0 + g2 * tt, (g1 + g3 * tt) * t
+    theta = (0j, sin_v * (a_even + a_odd), cos_v * (a_even - a_odd), g_even + g_odd, g_even - g_odd)
+    n, d, k, head = lat.table[anchor][j]
+    ratio = theta[n] / theta[d]
+    p = head + k * ratio * ratio
+    if not prime:
+        return p, 0j
+    den = theta[d] * theta[d]
+    return p, lat.slopes[anchor] * theta[1] * theta[2] * theta[3] * theta[4] / (den * den)
 
 
 def wp(z: complex, lat: Lattice | Invariants) -> complex:
     """Weierstrass p at ``z`` on a lattice, or on the lattice of bare invariants."""
-    return _evaluate(z, lat, 0, False)[0]
+    return _evaluate(z, lattice(lat) if isinstance(lat, Invariants) else lat, 0, False)[0]
 
 
 def wp_prime(z: complex, lat: Lattice | Invariants) -> complex:
     """Derivative p' at ``z``; vanishes at the half-period points."""
-    return _evaluate(z, lat, 0, True)[1]
+    return _evaluate(z, lattice(lat) if isinstance(lat, Invariants) else lat, 0, True)[1]
 
 
 def mobius(z: complex, lat: Lattice, j: int, shift: float, head: float, residue: float) -> complex:

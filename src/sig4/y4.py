@@ -12,9 +12,10 @@ The solution starting at mu_plus has the Weierstrass form
     y4_plus = mu_plus * (1 + 4 kappa / ((P - E1) - 2 kappa)),   E1 = 4/3,
 
 with P the p-function for G2 = (16/3)(1 + 3 lam^2), G3 = (64/27)(1 - 9 lam^2)
-and P - E1 from the lattice's root differences.  The mu_minus solution is
-the same formula with kappa negated; the half-period shift laws relating
-the four solutions are then checkable facts rather than definitions.
+and P - E1 a theta quotient on the lattice, relatively accurate however
+small kappa is.  The mu_minus solution is the same formula with kappa
+negated, read off P - E2; the half-period shift laws relating the four
+solutions are then checkable facts rather than definitions.
 Built from the dd ``Modulus`` (kappa, lam), the y4 lattice is the dd
 lattice turned by a quarter.
 """
@@ -69,9 +70,13 @@ def y4_plus(z: complex, ctx: Y4Context) -> complex:
 
 
 def y4_minus(z: complex, ctx: Y4Context) -> complex:
-    """The solution with value mu_minus at 0: y4_plus with kappa negated."""
-    k, mu = ctx.kappa, ctx.mu_minus
-    return mobius(z, ctx.lattice, 1, -2.0 * k, mu, -4.0 * k * mu)
+    """The solution with value mu_minus at 0: y4_plus with kappa negated.
+
+    Its pole P - E1 = -2 kappa nears E2 as kappa -> 1, so it reads P - E2:
+    (P - E1) + 2 kappa = (P - E2) + 2 kappa (1 - kappa + lam)/(1 + lam).
+    """
+    k, lam, mu = ctx.kappa, ctx.lam, ctx.mu_minus
+    return mobius(z, ctx.lattice, 2, -2.0 * k * (1.0 - k + lam) / (1.0 + lam), mu, -4.0 * k * mu)
 
 
 def y4_zeros_poles(ctx: Y4Context) -> tuple[complex, complex]:

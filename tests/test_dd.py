@@ -14,11 +14,10 @@ from sig4.dd import (
     forward_integral,
     make_context,
     make_modulus,
-    period_ratio,
     phi,
     phi_many,
 )
-from sig4.hypergeometric import hyp2f1
+from sig4.hypergeometric import complete_f, hyp2f1
 from sig4.numerics import DomainError, Interval, PoleError, integrate
 from sig4.verify import omega_prime, omega_three_ways
 from sig4.weierstrass import wp
@@ -404,19 +403,19 @@ class TestPeriods:
         assert abs(quad - ctx.lattice.periods.half_imag_mag) <= 1e-8
 
     def test_self_complementary_ratio(self):
-        mod = make_modulus(1.0 / math.sqrt(2.0))
-        ratio = period_ratio(mod)
-        assert ratio.real == 0.0
-        assert ratio.imag == pytest.approx(math.sqrt(2.0), abs=1e-13)
+        ctx = make_context(1.0 / math.sqrt(2.0))
+        pp, mod = ctx.lattice.periods, ctx.modulus
+        assert pp.half_imag_mag / pp.half_real == pytest.approx(math.sqrt(2.0), abs=1e-13)
         assert omega_prime(mod) / omega_three_ways(mod)[0] == pytest.approx(
             math.sqrt(2.0), abs=1e-9
         )
 
     def test_ratio_at_06(self, ctx):
-        ratio = period_ratio(ctx.modulus)
-        assert ratio.real == 0.0
-        assert ratio.imag == pytest.approx(1.5634019226961116, abs=1e-12)
-        # agrees with the AGM lattice shape
-        assert ratio.imag == pytest.approx(
-            ctx.lattice.periods.half_imag_mag / ctx.lattice.periods.half_real, abs=1e-9
+        pp, mod = ctx.lattice.periods, ctx.modulus
+        ratio = pp.half_imag_mag / pp.half_real
+        assert ratio == pytest.approx(1.5634019226961116, abs=1e-12)
+        # agrees with the closed form sqrt(2) F(lam^2)/F(kappa^2)
+        assert ratio == pytest.approx(
+            math.sqrt(2.0) * complete_f(mod.lam, mod.kappa) / complete_f(mod.kappa, mod.lam),
+            abs=1e-9,
         )

@@ -16,7 +16,6 @@ from sig4.verify import (
     check_final_remark,
     run_suite,
 )
-from sig4.y4 import make_y4_context
 
 
 @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9])
@@ -71,16 +70,22 @@ def test_real_axis_equation_work(kappa, monkeypatch):
     assert evaluations == 3 * 200
 
 
-@pytest.mark.parametrize("kappa", [1e-3, 0.5, 0.99])
-def test_report_counts_series_terms(kappa):
-    first = run_suite(kappa, 5, 0, 1e-8).to_json_dict()["wp_terms"]
-    ctx = make_context(kappa)
-    expected = {
-        "dd": len(ctx.lattice.terms),
-        "y4": len(make_y4_context(ctx.modulus.lam).lattice.terms),
-    }
-    assert first == expected
-    assert run_suite(kappa, 5, 0, 1e-8).to_json_dict()["wp_terms"] == first
+@pytest.mark.parametrize("kappa", [1e-6, 1e-8, 1e-12, 1e-15])
+def test_y4_rows_at_tiny_kappa(kappa):
+    # y4 reads P - E1 on the scale of kappa; taken as a theta quotient it
+    # keeps its relative accuracy however small kappa is
+    report = run_suite(kappa, 200, 0, 1e-8)
+    rows = {c.name: (c.max_residual, c.error) for c in report.checks if c.name.startswith("y4-")}
+    assert len(rows) == 4
+    assert all(c.passed for c in report.checks if c.name in rows), rows
+
+
+@pytest.mark.parametrize("kappa", [1.0 - 1e-12, 1.0 - 2.0 ** -52])
+def test_y4_shifts_at_kappa_nearest_one(kappa):
+    # the y4_minus pole nears E2 as kappa -> 1, and y4_minus reads P - E2
+    report = run_suite(kappa, 200, 0, 1e-8)
+    row = next(c for c in report.checks if c.name == "y4-shifts")
+    assert row.error is None and row.passed, (row.error, row.max_residual)
 
 
 @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9, 0.99])

@@ -13,6 +13,7 @@ from sig4.quartic import solve_quartic_ivp
 from sig4.verify import dd_equation_quartic
 from sig4.weierstrass import (
     Invariants,
+    _evaluate,
     half_periods,
     lattice,
     midpoints,
@@ -210,17 +211,22 @@ class TestLatticeReduce:
 KERNEL_KAPPAS = [1e-4, 1e-3, 0.5, 0.99, 1.0 - 1e-6]
 
 
-def _lattice_and_roots(kind: str, kappa: float):
+def _lattice_and_roots(kind: str, kappa: float, exact: bool = False):
     """The float lattice of ``kind`` at ``kappa``, and its roots exact in mp.
 
     The roots are the closed forms of the float lam each context is built
     from, so the reference shares the lattice's input but none of its
-    arithmetic.
+    arithmetic.  With ``exact``, the y4 lattice comes from the dd modulus
+    pair and lam = sqrt(1 - kappa^2) is formed in mp from the float kappa:
+    at kappa <= 1e-8 the float lam rounds to 1.0, and roots built from it
+    merge.  60 digits keep 29 in the gap 1 - lam ~ 5e-31 at kappa = 1e-15.
     """
     ctx = make_context(kappa)
-    lat = ctx.lattice if kind == "dd" else make_y4_context(ctx.modulus.lam).lattice
-    with mpmath.workdps(40):
-        lam, third = mpmath.mpf(ctx.modulus.lam), mpmath.mpf(1) / 3
+    lat = ctx.lattice if kind == "dd" else make_y4_context(
+        ctx.modulus if exact else ctx.modulus.lam).lattice
+    with mpmath.workdps(60):
+        lam = mpmath.sqrt(1 - mpmath.mpf(kappa) ** 2) if exact else mpmath.mpf(ctx.modulus.lam)
+        third = mpmath.mpf(1) / 3
         if kind == "dd":
             roots = ((1 + 3 * lam) / 6, (1 - 3 * lam) / 6, -third)
         else:
@@ -228,15 +234,24 @@ def _lattice_and_roots(kind: str, kappa: float):
     return lat, roots
 
 
-def _wp_reference(roots, z: complex) -> tuple[complex, complex]:
-    """p and p' from the Jacobi form p = e3 + (e1 - e3)/sn^2(sqrt(e1 - e3) z | m)."""
-    with mpmath.workdps(40):
+def _jacobi(roots, z: complex):
+    """p - e1, p - e2, p - e3 and p' in mp, each a product, from the Jacobi
+    form p = e3 + (e1 - e3)/sn^2(sqrt(e1 - e3) z | m)."""
+    with mpmath.workdps(60):
         e1, e2, e3 = roots
         gap = e1 - e3
         root = mpmath.sqrt(gap)
         u, m = root * mpmath.mpc(z), (e2 - e3) / gap
         sn, cn, dn = (mpmath.ellipfun(f, u, m) for f in ("sn", "cn", "dn"))
-        return complex(e3 + gap / sn ** 2), complex(-2 * gap * root * cn * dn / sn ** 3)
+        p3 = gap / sn ** 2
+        return p3 * cn ** 2, p3 * dn ** 2, p3, -2 * gap * root * cn * dn / sn ** 3
+
+
+def _wp_reference(roots, z: complex) -> tuple[complex, complex]:
+    """p and p' from the Jacobi form."""
+    _, _, p3, dp = _jacobi(roots, z)
+    with mpmath.workdps(60):
+        return complex(roots[2] + p3), complex(dp)
 
 
 @pytest.mark.parametrize("kind", ["dd", "y4"])
@@ -271,19 +286,74 @@ def test_wp_prime_near_half_period_of_nearly_degenerate_lattice():
         assert abs(wp_prime(z, lat) - dp) <= 1e-13 * abs(dp), z
 
 
-@pytest.mark.parametrize("kappa, count", [
-    (1e-4, 1), (1e-3, 1), (0.05, 2), (0.5, 5), (0.9, 8), (0.99, 6), (1.0 - 1e-6, 3),
-])
-def test_series_length_and_frame(kappa, count):
+@pytest.mark.parametrize("kappa", [1e-4, 1e-3, 0.05, 0.5, 0.9, 0.99, 1.0 - 1e-6])
+def test_shared_nome_in_opposite_frames(kappa):
     # the y4 lattice is the dd lattice turned by a quarter and halved, so
-    # both share the nome and the series length, in opposite frames
+    # both share the nome, in opposite frames
     lat, _ = _lattice_and_roots("dd", kappa)
     ylat, _ = _lattice_and_roots("y4", kappa)
-    assert len(lat.terms) == len(ylat.terms) == count
     assert lat.nome == pytest.approx(ylat.nome, rel=1e-8)
     assert 0.0 < lat.nome <= math.exp(-math.pi)
     assert lat.rotated != ylat.rotated
     assert lat.rotated == (lat.periods.half_real > lat.periods.half_imag_mag)
+
+
+# from the smallest moduli, where the float lam is 1.0, to near one
+EXACT_KAPPAS = [1e-15, 1e-12, 1e-8, 1e-6, 1e-4, 0.5, 1.0 - 1e-9]
+
+
+@pytest.mark.parametrize("kind", ["dd", "y4"])
+@pytest.mark.parametrize("kappa", EXACT_KAPPAS)
+def test_p_minus_each_root_is_relatively_accurate(kind, kappa):
+    # p - e_j near every half-period and quarter point, where it is small
+    # away from omega_j or large near the lattice
+    lat, roots = _lattice_and_roots(kind, kappa, exact=True)
+    hr, hi = lat.periods.half_real, lat.periods.half_imag_mag
+    scale = min(hr, hi)
+    for centre in (complex(a * hr, b * hi) for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)):
+        for distance in (0.05, 0.3):
+            for direction in (1.0, 1j, cmath.exp(0.75j * math.pi), cmath.exp(-0.3j)):
+                z = centre + distance * scale * direction
+                for j, ref in enumerate(map(complex, _jacobi(roots, z)[:3]), 1):
+                    value = _evaluate(z, lat, j, False)[0]
+                    assert abs(value - ref) <= 1e-12 * abs(ref), (z, j)
+
+
+def test_p_minus_e1_at_the_y4_quarter_point():
+    # 2.8166 - 0.0411i, on the y4 lattice at kappa = 1e-4, is near the
+    # quarter point Omega/2, where P - E1 ~ 2 kappa is far below the roots
+    lat, roots = _lattice_and_roots("y4", 1e-4, exact=True)
+    z = 2.8166 - 0.0411j
+    ref = complex(_jacobi(roots, z)[0])
+    assert abs(_evaluate(z, lat, 1, False)[0] - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("kappa", EXACT_KAPPAS)
+def test_y4_over_the_cell_against_mpmath(kappa):
+    # y4+- = mu+- (1 +- 4 kappa/((P - E1) -+ 2 kappa)) at the exact lam
+    yctx = make_y4_context(make_context(kappa).modulus)
+    lat, roots = _lattice_and_roots("y4", kappa, exact=True)
+    hr, hi = lat.periods.half_real, lat.periods.half_imag_mag
+    margin = 0.05 * min(hr, hi)
+    poles = (complex(0.5 * hr, 0.0), complex(-0.5 * hr, 0.0), complex(0.5 * hr, hi),
+             complex(-0.5 * hr, hi), complex(0.5 * hr, -hi), complex(-0.5 * hr, -hi))
+    rng = random.Random(13)
+    with mpmath.workdps(60):
+        k = mpmath.mpf(kappa)
+        mu_plus = mpmath.sqrt((1 + k) / 2)
+        mu_minus = mpmath.sqrt(1 - k * k) / (2 * mu_plus)
+    count = 0
+    while count < 40:
+        z = complex(rng.uniform(-hr, hr), rng.uniform(-hi, hi))
+        if abs(z) < margin or any(abs(z - p) < margin for p in poles):
+            continue
+        count += 1
+        p1 = _jacobi(roots, z)[0]
+        with mpmath.workdps(60):
+            refs = (complex(mu_plus * (1 + 4 * k / (p1 - 2 * k))),
+                    complex(mu_minus * (1 - 4 * k / (p1 + 2 * k))))
+        for value, ref in zip((y4_plus(z, yctx), y4_minus(z, yctx)), refs):
+            assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), z
 
 
 @pytest.mark.parametrize("kind", ["dd", "y4"])
