@@ -4,7 +4,9 @@ The two function families built on the hypergeometric parameters
 (1/4, 3/4): the dn-analogue dd and the Chebyshev-quartic solutions
 y4_plus / y4_minus, together with the Weierstrass machinery relating
 them, a general quartic initial-value solver, and a verification engine
-that turns each defining identity into a checked residual.
+that turns each defining identity into a checked residual.  The value
+records (``Invariants``, ``Lattice``, the contexts, the report rows, ...)
+are NamedTuples: immutable, compared and hashed by value, and tuples.
 """
 
 from .numerics import (

@@ -30,7 +30,7 @@ import sys
 
 import click
 
-from .dd import dd, make_context, make_modulus, phi
+from .dd import dd, make_context, phi
 from .numerics import ConvergenceError, DomainError, PoleError
 from .weierstrass import Invariants, wp
 from .y4 import make_y4_context, y4_minus, y4_plus
@@ -117,7 +117,7 @@ def _evaluate(function: str, z: complex, kappa, lam, g2, g3):
             return wp(z, Invariants(g2, g3))
         _require_real_line(function, z.imag, kappa)
         if function == "phi":
-            return phi(z.real, make_modulus(kappa))
+            return phi(z.real, make_context(kappa).modulus)
         return dd(z.real, make_context(kappa)).real
     except PoleError:
         return "pole"

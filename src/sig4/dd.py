@@ -29,16 +29,14 @@ The independent routes to the half-periods live in the identity suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .numerics import DomainError, PoleError, carlson_rf
 from .weierstrass import Invariants, Lattice, MidpointTriple, _evaluate, build_lattice, mobius
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(NamedTuple):
     """Modulus bundle: kappa, complement lam, and the modular angles.
 
     alpha = arcsin(kappa) is the acute modular angle; beta = pi/2 - alpha
@@ -59,8 +57,7 @@ def make_modulus(kappa: float) -> Modulus:
     return Modulus(kappa, lam, alpha, 0.5 * math.pi - alpha)
 
 
-@dataclass(frozen=True)
-class DDContext:
+class DDContext(NamedTuple):
     """Everything needed to evaluate dd at one modulus."""
 
     modulus: Modulus
@@ -120,16 +117,17 @@ def _phi(u: float, ctx: DDContext) -> float:
     """
     if not math.isfinite(u):
         raise DomainError(f"phi needs a finite argument, got {u}")
-    lam = ctx.modulus.lam
-    two_omega = 2.0 * ctx.lattice.periods.half_real
+    mod, lat = ctx
+    lam = mod.lam
+    two_omega = 2.0 * lat.periods.half_real
     rem = math.remainder(u, two_omega)  # exact, in [-omega, omega]
     wraps = round((u - rem) / two_omega)
     try:
-        p1 = _evaluate(abs(rem), ctx.lattice, 1, False)[0].real
+        p1 = _evaluate(abs(rem), lat, 1, False)[0].real
     except PoleError:
         return wraps * math.pi + rem
     half = 0.5 * (1.0 + lam)
-    r = ctx.modulus.kappa ** 2 * p1 / ((1.0 + lam) * (p1 + half))
+    r = mod.kappa ** 2 * p1 / ((1.0 + lam) * (p1 + half))
     angle = math.atan2(math.sqrt(half * (1.0 + lam + r)), math.sqrt(p1 * (2.0 * lam + r)))
     return wraps * math.pi + math.copysign(angle, rem)
 

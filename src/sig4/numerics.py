@@ -18,8 +18,7 @@ concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 _MAX_LEVEL = 12
 _UMAX = 5.0  # abscissa cutoff; weights below ~1e-100 there
@@ -43,16 +42,16 @@ class UnsupportedLatticeError(DomainError):
     """Invariants outside the real rectangular-lattice regime."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
     """Closed integration interval with ``lo < hi``."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))   # so that _replace validates too
 
-    def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise DomainError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
+    def __new__(cls, lo: float, hi: float) -> Interval:
+        if not (lo < hi):
+            raise DomainError(f"interval requires lo < hi, got [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     @property
     def length(self) -> float:
@@ -107,7 +106,7 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> float:
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    a, b = iv.lo, iv.hi
+    a, b = iv
     length = b - a
     half = 0.5 * length
 

@@ -16,9 +16,7 @@ supported; the formulas degrade gracefully.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .numerics import DomainError, UnsupportedLatticeError
 from .weierstrass import Invariants, lattice, mobius
@@ -26,19 +24,17 @@ from .weierstrass import Invariants, lattice, mobius
 _ROOT_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class QuarticCoefficients:
+class QuarticCoefficients(NamedTuple("QuarticCoefficients", [
+        ("a0", float), ("a1", float), ("a2", float), ("a3", float), ("a4", float)])):
     """Quartic in binomial normalization; degree at least one."""
 
-    a0: float
-    a1: float
-    a2: float
-    a3: float
-    a4: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))   # so that _replace validates too
 
-    def __post_init__(self) -> None:
-        if self.a0 == self.a1 == self.a2 == self.a3 == 0.0:
+    def __new__(cls, a0: float, a1: float, a2: float, a3: float, a4: float) -> QuarticCoefficients:
+        if a0 == a1 == a2 == a3 == 0.0:
             raise DomainError("all of a0..a3 vanish: not a polynomial of degree >= 1")
+        return tuple.__new__(cls, (a0, a1, a2, a3, a4))
 
     @classmethod
     def from_monomial(cls, c4: float, c3: float, c2: float, c1: float, c0: float) -> "QuarticCoefficients":
@@ -67,8 +63,7 @@ class QuarticCoefficients:
         )
 
 
-@dataclass(frozen=True)
-class TaylorShift:
+class TaylorShift(NamedTuple):
     """Coefficients of f expanded about a root w0.
 
     f(w) = A0 (w-w0)^4 + 4 A1 (w-w0)^3 + 6 A2 (w-w0)^2 + 4 A3 (w-w0),

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from .dd import DDContext, Modulus, dd, forward_integral, make_context, phi_many
 from .hypergeometric import complete_f
@@ -66,9 +66,15 @@ class Lcg64:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
+    def point(self, hr: float, hi: float) -> complex:
+        """complex(uniform(-hr, hr), uniform(-hi, hi)): both draws, in that order, in one call."""
+        re = self._state = (self._state * self._MULT + self._INC) & self._MASK
+        im = self._state = (re * self._MULT + self._INC) & self._MASK
+        return complex(-hr + 2.0 * hr * (re >> 11) * (1.0 / (1 << 53)),
+                       -hi + 2.0 * hi * (im >> 11) * (1.0 / (1 << 53)))
 
-@dataclass
-class IdentityCheck:
+
+class IdentityCheck(NamedTuple):
     """Outcome of one identity: worst residual over its samples.
 
     ``worst_z`` is the sample that gave ``max_residual``, None when the
@@ -102,12 +108,11 @@ class IdentityCheck:
         return row
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     kappa: float
     seed: int
     tol: float
-    checks: list[IdentityCheck]
+    checks: tuple[IdentityCheck, ...]
     wall_time_ms: float
 
     @property
@@ -115,26 +120,21 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "seed": self.seed,
-            "tol": self.tol,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return dict(self._asdict(), checks=[c.to_json_dict() for c in self.checks])
 
 
 def _draw(rng: Lcg64, pp: PeriodPair, avoid: tuple[complex, ...] = ()) -> complex:
-    """Uniform point of the centered fundamental cell, away from listed points."""
-    hr, hi = pp.half_real, pp.half_imag_mag
+    """Uniform point of the centered fundamental cell, away from 0 and the listed points."""
+    hr, hi = pp
     margin = _MARGIN_FRAC * min(hr, hi)
+    avoid = (0j,) + avoid
     while True:
-        z = complex(rng.uniform(-hr, hr), rng.uniform(-hi, hi))
-        if abs(z) < margin:
-            continue
-        if any(abs(z - a) < margin for a in avoid):
-            continue
-        return z
+        z = rng.point(hr, hi)
+        for a in avoid:
+            if abs(z - a) < margin:
+                break
+        else:
+            return z
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +243,7 @@ class SuiteInputs:
 
     ``rng`` is one stream that the runners consume in registry order;
     ``omegas`` is computed on first use and shared by the omega rows.
-    A plain class, not a dataclass: that would add about 1 ms to import.
+    A plain class, unlike the NamedTuple value records: ``cached_property`` needs a ``__dict__``.
     """
 
     def __init__(self, ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
@@ -552,4 +552,4 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
         passed = error is None and worst <= tol
         checks.append(IdentityCheck(name, samples, worst, tol, passed, elapsed, worst_z, error))
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    return VerificationReport(kappa, seed, tol, checks, elapsed_ms)
+    return VerificationReport(kappa, seed, tol, tuple(checks), elapsed_ms)

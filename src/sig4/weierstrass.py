@@ -18,7 +18,7 @@ is ever added, so p - e_j (j = 0: p) keeps its relative accuracy however
 close two roots are.  ``mobius`` evaluates the Moebius images head +
 residue/((p - e_j) - shift) of p that dd, y4 and the quartic solution are.
 
-Everything an evaluation reads sits in one frozen ``Lattice``, built
+Everything an evaluation reads sits in one immutable ``Lattice``, built
 once.  The dd and y4 lattices are built from their closed-form roots; bare
 invariants get theirs from the cubic by Viete, once, in the cached
 ``lattice``.
@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .numerics import DomainError, PoleError, agm, solve_depressed_cubic
 
@@ -37,24 +37,23 @@ _POLE_TOL = 1e-12
 _REACH_LO, _REACH_HI = -(2.0 ** 53), 2.0 ** 53   # half-periods: past them w keeps no digits
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple("Invariants", [("g2", float), ("g3", float)])):
     """Invariant pair (g2, g3) of a quartic/cubic and of its p-function."""
 
-    g2: float
-    g3: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))   # so that _replace validates too
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.g2) and math.isfinite(self.g3)):
+    def __new__(cls, g2: float, g3: float) -> Invariants:
+        if not (math.isfinite(g2) and math.isfinite(g3)):
             raise DomainError("invariants must be finite reals")
+        return tuple.__new__(cls, (g2, g3))
 
     @property
     def discriminant(self) -> float:
         return self.g2 ** 3 - 27.0 * self.g3 ** 2
 
 
-@dataclass(frozen=True)
-class MidpointTriple:
+class MidpointTriple(NamedTuple):
     """Values of p at the three half-period points, e1 > e2 > e3."""
 
     e1: float
@@ -62,8 +61,7 @@ class MidpointTriple:
     e3: float
 
 
-@dataclass(frozen=True)
-class PeriodPair:
+class PeriodPair(NamedTuple):
     """Fundamental half-periods of a rectangular lattice.
 
     ``half_real`` is the positive real half-period; the imaginary
@@ -89,8 +87,7 @@ def _complete_k(m_c: float) -> float:
     return math.pi / (2.0 * agm(1.0, math.sqrt(m_c)))
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """One rectangular lattice, computed once: what every p evaluation reads.
 
     The theta frame has real half-period a = min(omega, |omega'|), and is
@@ -186,8 +183,9 @@ def half_periods(inv: Invariants) -> PeriodPair:
 
 
 def _evaluate(z: complex, lat: Lattice, j: int, prime: bool) -> tuple[complex, complex]:
-    """(p - e_j, p') at z, j = 0 giving p itself and p' 0j unless ``prime``."""
-    hr, hi = lat.periods.half_real, lat.periods.half_imag_mag
+    """(p - e_j, p') at z, j = 0 giving p itself; unless ``prime``, p' is 0j
+    and only theta_N and theta_D are formed."""
+    _, _, (hr, hi), rotated, scale, _, coeffs, table, slopes = lat
     x, y = z.real / hr, z.imag / hi
     if not (_REACH_LO < x < _REACH_HI and _REACH_LO < y < _REACH_HI):
         raise DomainError(f"argument {z} lies 2^53 or more half-periods out")
@@ -196,21 +194,29 @@ def _evaluate(z: complex, lat: Lattice, j: int, prime: bool) -> tuple[complex, c
     anchor = (sr & 1) | (si & 1) << 1
     if not anchor and abs(w) < _POLE_TOL:
         raise PoleError(f"p-function pole: argument within {_POLE_TOL:g} of the lattice")
-    v = lat.scale * (complex(w.imag, -w.real) if lat.rotated else w)
-    sin_v, cos_v = cmath.sin(v), cmath.cos(v)
+    v = scale * (complex(w.imag, -w.real) if rotated else w)
+    sin_v = cmath.sin(v)
     t = 1.0 - 2.0 * sin_v * sin_v   # cos 2v
     tt = t * t
-    a0, a2, a1, a3, g0, g2, g1, g3 = lat.theta
-    a_even, a_odd = a0 + a2 * tt, (a1 + a3 * tt) * t
-    g_even, g_odd = g0 + g2 * tt, (g1 + g3 * tt) * t
-    theta = (0j, sin_v * (a_even + a_odd), cos_v * (a_even - a_odd), g_even + g_odd, g_even - g_odd)
-    n, d, k, head = lat.table[anchor][j]
-    ratio = theta[n] / theta[d]
-    p = head + k * ratio * ratio
+    a0, a2, a1, a3, g0, g2, g1, g3 = coeffs
+    n, d, k, head = table[anchor][j]
+    if prime or n < 3 or d < 3:
+        a_even, a_odd = a0 + a2 * tt, (a1 + a3 * tt) * t
+    if prime or n > 2 or d > 2:
+        g_even, g_odd = g0 + g2 * tt, (g1 + g3 * tt) * t
     if not prime:
-        return p, 0j
+        num = (sin_v * (a_even + a_odd) if n == 1 else cmath.cos(v) * (a_even - a_odd) if n == 2
+               else g_even + g_odd if n == 3 else g_even - g_odd)
+        den = (sin_v * (a_even + a_odd) if d == 1 else cmath.cos(v) * (a_even - a_odd) if d == 2
+               else g_even + g_odd if d == 3 else g_even - g_odd)
+        ratio = num / den
+        return head + k * ratio * ratio, 0j
+    theta = (0j, sin_v * (a_even + a_odd), cmath.cos(v) * (a_even - a_odd),
+             g_even + g_odd, g_even - g_odd)
+    ratio = theta[n] / theta[d]
     den = theta[d] * theta[d]
-    return p, lat.slopes[anchor] * theta[1] * theta[2] * theta[3] * theta[4] / (den * den)
+    p = head + k * ratio * ratio
+    return p, slopes[anchor] * theta[1] * theta[2] * theta[3] * theta[4] / (den * den)
 
 
 def wp(z: complex, lat: Lattice | Invariants) -> complex:

@@ -23,16 +23,15 @@ lattice turned by a quarter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .dd import Modulus
 from .numerics import DomainError
 from .weierstrass import Invariants, Lattice, MidpointTriple, build_lattice, mobius
 
 
-@dataclass(frozen=True)
-class Y4Context:
+class Y4Context(NamedTuple):
     """Parameter bundle for one lam: quartic roots and the p-lattice."""
 
     lam: float
@@ -66,7 +65,8 @@ def make_y4_context(param: Modulus | float) -> Y4Context:
 
 def y4_plus(z: complex, ctx: Y4Context) -> complex:
     """The solution with value mu_plus at 0; poles congruent to +-half_real/2."""
-    return mobius(z, ctx.lattice, 1, 2.0 * ctx.kappa, ctx.mu_plus, 4.0 * ctx.kappa * ctx.mu_plus)
+    kappa, mu = ctx.kappa, ctx.mu_plus
+    return mobius(z, ctx.lattice, 1, 2.0 * kappa, mu, 4.0 * kappa * mu)
 
 
 def y4_minus(z: complex, ctx: Y4Context) -> complex:

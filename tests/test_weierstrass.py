@@ -440,3 +440,21 @@ def test_huge_arguments_raise_domain_error(kind):
         dd(1e300, make_context(0.5))
     with pytest.raises(DomainError):
         y4_plus(1e300, make_y4_context(0.5))
+
+
+@pytest.mark.parametrize("kappa", [1e-4, 0.5, 1.0 - 1e-9])
+def test_value_alone_matches_value_with_derivative(kappa):
+    # without p', _evaluate forms only theta_N and theta_D: the value must be
+    # the one the four-theta path gives, bit for bit, in both frames, at
+    # every anchor and for every root
+    ctx = make_context(kappa)
+    lattices = (ctx.lattice, make_y4_context(ctx.modulus).lattice)
+    assert {lat.rotated for lat in lattices} == {False, True}
+    for lat in lattices:
+        hr, hi = lat.periods
+        near = min(hr, hi)
+        for sr, si in ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 2)):
+            for offset in (0.05 + 0.03j, -0.2 + 0.1j, 0.01 - 0.3j):
+                z = complex(sr * hr, si * hi) + offset * near
+                for j in range(4):
+                    assert _evaluate(z, lat, j, False)[0] == _evaluate(z, lat, j, True)[0], (z, j)
