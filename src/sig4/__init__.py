@@ -52,7 +52,6 @@ from .y4 import (
 )
 from .quartic import (
     QuarticCoefficients,
-    TaylorShift,
     cubinvariant,
     quadrinvariant,
     recentered,

@@ -31,7 +31,7 @@ import sys
 import click
 
 from .dd import dd, make_context, phi
-from .numerics import ConvergenceError, DomainError, PoleError
+from .numerics import DomainError, PoleError
 from .weierstrass import Invariants, wp
 from .y4 import make_y4_context, y4_minus, y4_plus
 from .verify import run_suite
@@ -142,7 +142,7 @@ def cmd_eval(function, z_text, kappa, lam, g2, g3):
     z = parse_complex(z_text)
     try:
         value = _evaluate(function, z, kappa, lam, g2, g3)
-    except (DomainError, ConvergenceError) as exc:
+    except DomainError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     if isinstance(value, str):
@@ -161,7 +161,7 @@ def periods(kappa, as_csv):
     try:
         ctx = make_context(kappa)
         yctx = make_y4_context(ctx.modulus)
-    except (DomainError, ConvergenceError) as exc:
+    except DomainError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     pp, ypp = ctx.lattice.periods, yctx.lattice.periods
@@ -188,7 +188,7 @@ def invariants(kappa):
     try:
         ctx = make_context(kappa)
         yctx = make_y4_context(ctx.modulus)
-    except (DomainError, ConvergenceError) as exc:
+    except DomainError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     inv, mid = ctx.lattice.invariants, ctx.lattice.roots
@@ -223,7 +223,7 @@ def table(function, kappa, lam, g2, g3, start, stop, steps, imag):
              "--from, --to and --imag must give finite grid points")
     try:
         values = [_evaluate(function, complex(x, imag), kappa, lam, g2, g3) for x in xs]
-    except (DomainError, ConvergenceError) as exc:
+    except DomainError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     writer = _csv.writer(sys.stdout, lineterminator="\n")
@@ -254,7 +254,7 @@ def verify(kappa, n, seed, tol, out):
         raise click.UsageError("tolerance must be positive")
     try:
         report = run_suite(kappa, n, seed, tol)
-    except (DomainError, ConvergenceError, RuntimeError) as exc:
+    except (DomainError, RuntimeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     payload = json.dumps(report.to_json_dict(), indent=2)

@@ -37,24 +37,16 @@ from .weierstrass import Invariants, Lattice, MidpointTriple, _evaluate, build_l
 
 
 class Modulus(NamedTuple):
-    """Modulus bundle: kappa, complement lam, and the modular angles.
-
-    alpha = arcsin(kappa) is the acute modular angle; beta = pi/2 - alpha
-    is its complement, so sin(beta) = lam and cos(beta) = kappa.
-    """
+    """Modulus pair: kappa and its complement lam = sqrt(1 - kappa^2)."""
 
     kappa: float
     lam: float
-    alpha: float
-    beta: float
 
 
 def make_modulus(kappa: float) -> Modulus:
     if not (0.0 < kappa < 1.0):
         raise DomainError(f"modulus must lie in (0, 1), got {kappa}")
-    lam = math.sqrt((1.0 - kappa) * (1.0 + kappa))
-    alpha = math.asin(kappa)
-    return Modulus(kappa, lam, alpha, 0.5 * math.pi - alpha)
+    return Modulus(kappa, math.sqrt((1.0 - kappa) * (1.0 + kappa)))
 
 
 class DDContext(NamedTuple):

@@ -53,10 +53,6 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
             raise DomainError(f"interval requires lo < hi, got [{lo}, {hi}]")
         return tuple.__new__(cls, (lo, hi))
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
 
 # --------------------------------------------------------------------------
 # tanh-sinh quadrature

@@ -5,10 +5,11 @@ Coefficients use the binomial 1-4-6-4-1 normalization
     f(w) = a0 w^4 + 4 a1 w^3 + 6 a2 w^2 + 4 a3 w + a4,
 
 under which the two invariants take their classical symmetric forms and
-survive Taylor shifts unchanged.  Given f(w0) = 0 with f'(w0) != 0, the
-initial value problem w(0) = w0 is solved in closed form by
+survive Taylor shifts unchanged.  Given f(w0) = 0 with f'(w0) != 0, f
+recentered at w0 has a4 = 0, 4 a3 = f'(w0) and 12 a2 = f''(w0), and in
+those coefficients the initial value problem w(0) = w0 is solved by
 
-    w(z) = w0 + (1/4) f'(w0) / (p(z; g2, g3) - (1/24) f''(w0)),
+    w(z) = w0 + a3 / (p(z; g2, g3) - a2/2),
 
 where (g2, g3) are the invariants of f.  The cubic case a0 = 0 is fully
 supported; the formulas degrade gracefully.
@@ -45,12 +46,6 @@ class QuarticCoefficients(NamedTuple("QuarticCoefficients", [
         return ((((self.a0 * w + 4.0 * self.a1) * w + 6.0 * self.a2) * w + 4.0 * self.a3) * w
                 + self.a4)
 
-    def derivative(self, w: float) -> float:
-        return ((4.0 * self.a0 * w + 12.0 * self.a1) * w + 12.0 * self.a2) * w + 4.0 * self.a3
-
-    def second_derivative(self, w: float) -> float:
-        return (12.0 * self.a0 * w + 24.0 * self.a1) * w + 12.0 * self.a2
-
     def _scale(self, w: float) -> float:
         aw = abs(w)
         return max(
@@ -61,20 +56,6 @@ class QuarticCoefficients(NamedTuple("QuarticCoefficients", [
             4.0 * abs(self.a3) * aw,
             abs(self.a4),
         )
-
-
-class TaylorShift(NamedTuple):
-    """Coefficients of f expanded about a root w0.
-
-    f(w) = A0 (w-w0)^4 + 4 A1 (w-w0)^3 + 6 A2 (w-w0)^2 + 4 A3 (w-w0),
-    so 12 A2 = f''(w0) and 4 A3 = f'(w0), the latter nonzero for a
-    simple root.
-    """
-
-    A0: float
-    A1: float
-    A2: float
-    A3: float
 
 
 def quadrinvariant(q: QuarticCoefficients) -> float:
@@ -100,19 +81,19 @@ def recentered(q: QuarticCoefficients, c: float) -> QuarticCoefficients:
     return QuarticCoefficients(q.a0, b1, b2, b3, q.value(c))
 
 
-def taylor_shift(q: QuarticCoefficients, w0: float) -> TaylorShift:
-    """Shift coefficients about a simple root w0 of f.
+def taylor_shift(q: QuarticCoefficients, w0: float) -> QuarticCoefficients:
+    """f recentered at a simple root w0: ``recentered(q, w0)``, checked.
 
-    A0 = a0, A1 = a0 w0 + a1, A2 = a0 w0^2 + 2 a1 w0 + a2,
-    A3 = a0 w0^3 + 3 a1 w0^2 + 3 a2 w0 + a3.
+    Its a4 = f(w0) must vanish and its 4 a3 = f'(w0) must not, each against
+    the size of the terms of f(w0); raises DomainError otherwise.
     """
     scale = q._scale(w0)
-    if abs(q.value(w0)) > _ROOT_RTOL * scale:
-        raise DomainError(f"w0={w0} is not a root: f(w0)={q.value(w0):g}")
     shifted = recentered(q, w0)
+    if abs(shifted.a4) > _ROOT_RTOL * scale:
+        raise DomainError(f"w0={w0} is not a root: f(w0)={shifted.a4:g}")
     if abs(4.0 * shifted.a3) <= _ROOT_RTOL * scale:
-        raise DomainError(f"root not simple: f'(w0)={q.derivative(w0):g}")
-    return TaylorShift(shifted.a0, shifted.a1, shifted.a2, shifted.a3)
+        raise DomainError(f"root not simple: f'(w0)={4.0 * shifted.a3:g}")
+    return shifted
 
 
 def solve_quartic_ivp(
@@ -131,5 +112,5 @@ def solve_quartic_ivp(
         raise UnsupportedLatticeError(
             f"invariant discriminant {inv.discriminant:g} is not positive"
         )
-    lat, offset, residue = lattice(inv), 0.5 * shift.A2, shift.A3   # f''(w0)/24, f'(w0)/4
+    lat, offset, residue = lattice(inv), 0.5 * shift.a2, shift.a3   # f''(w0)/24, f'(w0)/4
     return (lambda z: mobius(z, lat, 0, offset, w0, residue)), inv

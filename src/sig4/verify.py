@@ -163,23 +163,23 @@ def omega_three_ways(mod: Modulus, tol: float = 1e-12) -> tuple[float, float, fl
     closed:       (pi/2) 2F1(1/4,3/4;1;kappa^2), by the AGM closed form
     via_integral: the forward integral at pi/2, by Carlson's R_F
     via_trig:     sqrt(2) int_0^alpha cos(t/2)/sqrt(cos 2t - cos 2 alpha) dt,
-                  by tanh-sinh quadrature to ``tol``
+                  alpha = arcsin(kappa), by tanh-sinh quadrature to ``tol``
     """
     closed = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
     via_integral = forward_integral(0.5 * math.pi, mod)
-    via_trig = math.sqrt(2.0) * _singular_half_period_integral(mod.alpha, tol)
+    via_trig = math.sqrt(2.0) * _singular_half_period_integral(math.asin(mod.kappa), tol)
     return closed, via_integral, via_trig
 
 
 def omega_prime(mod: Modulus, tol: float = 1e-12) -> float:
     """Magnitude of the imaginary half-period, by quadrature.
 
-    Computed as 2 int_0^beta cos(t/2)/sqrt(cos 2t - cos 2 beta) dt; it
-    also equals (pi/sqrt2) 2F1(1/4,3/4;1;lam^2), that is
-    (pi/sqrt2) complete_f(lam, kappa), and the lattice route,
+    Computed as 2 int_0^beta cos(t/2)/sqrt(cos 2t - cos 2 beta) dt with
+    beta = pi/2 - arcsin(kappa); it also equals (pi/sqrt2) 2F1(1/4,3/4;1;lam^2),
+    that is (pi/sqrt2) complete_f(lam, kappa), and the lattice route,
     ``make_context(kappa).lattice.periods``, gives the same number.
     """
-    return 2.0 * _singular_half_period_integral(mod.beta, tol)
+    return 2.0 * _singular_half_period_integral(0.5 * math.pi - math.asin(mod.kappa), tol)
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +254,12 @@ class SuiteInputs:
         return omega_three_ways(self.ctx.modulus, tol=1e-13)
 
 
+def _worse(worst, worst_z, r, z, ties=True):
+    """The worse (residual, z); (r, z) wins a tie if ``ties``; NaN beats all but an earlier NaN."""
+    keep = worst != worst or (r < worst if ties else r <= worst)
+    return (worst, worst_z) if keep else (r, z)
+
+
 def _sampled_max(n, rng, pp, avoid, residual_at):
     worst, worst_z = 0.0, None
     for _ in range(n):
@@ -266,15 +272,14 @@ def _sampled_max(n, rng, pp, avoid, residual_at):
             break
         else:
             raise RuntimeError("sampling kept hitting poles; cell misconfigured?")
-        if r >= worst:
-            worst, worst_z = r, z
+        worst, worst_z = _worse(worst, worst_z, r, z)
     return n, worst, worst_z
 
 
 def _with_unplaced(result, residual):
-    """Fold a residual taken at no sample point into a sampled result."""
-    samples, worst, _ = result
-    return (samples, residual, None) if residual > worst else result
+    """Fold a residual taken at no sample point into a sampled result; the sample wins a tie."""
+    samples, worst, worst_z = result
+    return (samples, *_worse(worst, worst_z, residual, None, ties=False))
 
 
 def _run_d_ode(s: SuiteInputs):
@@ -304,8 +309,7 @@ def _run_d_ode(s: SuiteInputs):
         dm, d0, dp = d_of(phis[i]), d_of(phis[i + 1]), d_of(phis[i + 2])
         deriv = (dp - dm) / (2.0 * h)
         r = abs(deriv * deriv - 2.0 * (1.0 - d0) * (d0 * d0 - lam2))
-        if r >= worst:
-            worst, worst_z = r, complex(targets[i + 1])
+        worst, worst_z = _worse(worst, worst_z, r, complex(targets[i + 1]))
     return s.n, worst, worst_z
 
 
@@ -417,10 +421,7 @@ def _run_y4_zero_start(s: SuiteInputs):
         return _y4_ode_residual(y4_zero_ivp_solution(z, yctx), z + zero, yctx)
 
     samples, worst, worst_z = _sampled_max(s.n, s.rng, pp, avoid, residual)
-    at_zero = abs(y4_zero_ivp_solution(0.0, yctx))
-    if at_zero >= worst:
-        worst, worst_z = at_zero, 0j
-    return samples + 1, worst, worst_z
+    return (samples + 1, *_worse(worst, worst_z, abs(y4_zero_ivp_solution(0.0, yctx)), 0j))
 
 
 def _run_wp_quarter_turn(s: SuiteInputs):
@@ -519,9 +520,10 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
 
     Deterministic: one LCG stream seeded with ``seed`` is consumed by the
     checks in registry order, so identical inputs give bit-identical
-    residuals and sample points.  A runner that raises ArithmeticError,
-    ValueError or RuntimeError (which covers PoleError, DomainError and
-    ConvergenceError) is recorded as a failed check with its error, and
+    residuals and sample points.  The first NaN residual and its sample become
+    the row's ``max_residual`` and ``worst_z``, so the row fails.  A runner
+    that raises ArithmeticError, ValueError or RuntimeError (PoleError,
+    DomainError, ConvergenceError) becomes a failed check with its error and
     the run goes on; only a context that cannot be built aborts it.
     """
     if n_samples < 1:

@@ -115,6 +115,23 @@ def test_y4_worst_z_replays_through_eval():
     assert verify._y4_ode_residual(value, z, yctx) == row.max_residual
 
 
+def test_eval_y4plus_with_a_bare_lambda():
+    z = 0.3 + 0.2j
+    result = _invoke(["eval", "y4plus", "--lambda", "0.6", "--z", "0.3+0.2i"])
+    assert result.exit_code == 0, result.output
+    assert parse_complex(result.output) == y4_plus(z, make_y4_context(0.6))
+
+
+def test_periods_csv_agrees_with_the_plain_output():
+    plain = _invoke(["periods", "--kappa", "0.5"])
+    csv = _invoke(["periods", "--kappa", "0.5", "--csv"])
+    assert plain.exit_code == csv.exit_code == 0, (plain.output, csv.output)
+    header, row = csv.output.splitlines()
+    assert header == "omega,omega_prime_mag,Omega,Omega_prime_mag,ratio_dd,ratio_y4"
+    assert dict(zip(header.split(","), row.split(","))) == dict(
+        line.split(" = ") for line in plain.output.splitlines())
+
+
 @pytest.mark.parametrize("function", ["phi", "d"])
 def test_real_line_usage_errors(function):
     off_axis = _invoke(["table", function, "--kappa", "0.5", "--from", "0", "--to", "1",

@@ -68,9 +68,6 @@ def test_modulus_bundle():
     mod = make_modulus(0.6)
     assert mod.lam == pytest.approx(0.8, abs=1e-15)
     assert mod.kappa ** 2 + mod.lam ** 2 == pytest.approx(1.0, abs=1e-15)
-    assert math.sin(mod.alpha) == pytest.approx(0.6, abs=1e-15)
-    assert math.sin(mod.beta) == pytest.approx(mod.lam, abs=1e-15)
-    assert math.cos(mod.beta) == pytest.approx(mod.kappa, abs=1e-15)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 1.7])

@@ -1,9 +1,17 @@
-"""The quartic's invariants: unchanged by a Taylor shift of its argument."""
+"""The quartic's coefficients, its invariants under a Taylor shift, and the checked shift."""
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sig4.quartic import QuarticCoefficients, cubinvariant, quadrinvariant, recentered
+from sig4.numerics import DomainError
+from sig4.quartic import (
+    QuarticCoefficients,
+    cubinvariant,
+    quadrinvariant,
+    recentered,
+    taylor_shift,
+)
 
 _EPS = 2.0 ** -52
 _SPACING = 2.0 ** -1074   # of the doubles below 2^-1022, where rounding is absolute
@@ -64,3 +72,39 @@ def test_recentered_keeps_both_invariants(a0, a1, a2, a3, a4, c):
         at_q, at_shift = invariant(bound), invariant(moved)
         tol = 16.0 * _EPS * at_shift.size + _SPACING * (at_q.spacings + at_shift.spacings)
         assert abs(invariant(shifted) - invariant(q)) <= tol, invariant.__name__
+
+
+@settings(deadline=None)
+@given(coefficient, coefficient, coefficient, coefficient, coefficient, coefficient)
+@example(0.0, 0.0, 7.0 * _SPACING, 0.0, 0.0, 1.0)
+def test_from_monomial_has_the_monomial_values(c4, c3, c2, c1, c0, w):
+    assume(not c4 == c3 == c2 == c1 == 0.0)
+    q = QuarticCoefficients.from_monomial(c4, c3, c2, c1, c0)
+    plain = (((c4 * w + c3) * w + c2) * w + c1) * w + c0
+    size = (((abs(c4) * abs(w) + abs(c3)) * abs(w) + abs(c2)) * abs(w) + abs(c1)) * abs(w) + abs(c0)
+    # below 2^-1022 rounding is absolute: c/4 and c/6 and each Horner product
+    # round by up to half a spacing, carried by at most (1 + |w|)^4
+    tol = 16.0 * _EPS * size + 8.0 * _SPACING * (1.0 + abs(w)) ** 4
+    assert abs(q.value(w) - plain) <= tol
+
+
+def test_taylor_shift_is_the_checked_recentering():
+    # (w - 1)(w - 2)(w + 1)(w + 3) = w^4 + w^3 - 7w^2 - w + 6
+    q = QuarticCoefficients.from_monomial(1.0, 1.0, -7.0, -1.0, 6.0)
+    for root in (1.0, 2.0, -1.0, -3.0):
+        shifted = taylor_shift(q, root)
+        assert shifted == recentered(q, root) and shifted.a4 == 0.0
+    # 4 a3 = f'(2) = (2 - 1)(2 + 1)(2 + 3) and 12 a2 = f''(2) = 2 (3 + 5 + 15)
+    shifted = taylor_shift(q, 2.0)
+    assert 4.0 * shifted.a3 == pytest.approx(15.0, rel=1e-15)
+    assert 12.0 * shifted.a2 == pytest.approx(46.0, rel=1e-15)
+
+
+def test_taylor_shift_rejects_a_non_root_and_a_double_root():
+    q = QuarticCoefficients.from_monomial(1.0, 1.0, -7.0, -1.0, 6.0)
+    with pytest.raises(DomainError, match="is not a root"):
+        taylor_shift(q, 0.5)
+    # (w - 1)^2 (w + 2)(w - 3): f(1) = f'(1) = 0
+    double = QuarticCoefficients.from_monomial(1.0, -3.0, -3.0, 11.0, -6.0)
+    with pytest.raises(DomainError, match="root not simple"):
+        taylor_shift(double, 1.0)

@@ -18,7 +18,6 @@ from sig4 import (
     Modulus,
     PeriodPair,
     QuarticCoefficients,
-    TaylorShift,
     VerificationReport,
     Y4Context,
     lattice,
@@ -29,7 +28,7 @@ from sig4.numerics import DomainError
 
 
 def _records():
-    """(type, field names in order, field values) for each of the twelve records."""
+    """(type, field names in order, field values) for each of the eleven records."""
     ctx = make_context(0.5)
     yctx = make_y4_context(ctx.modulus)
     check = IdentityCheck("y4-ode", 200, 1e-15, 1e-8, True, 0.25, 0.5 + 0.25j, None)
@@ -40,11 +39,10 @@ def _records():
         (PeriodPair, ("half_real", "half_imag_mag"), (1.5, 2.5)),
         (Lattice, ("invariants", "roots", "periods", "rotated", "scale", "nome", "theta",
                    "table", "slopes"), tuple(ctx.lattice)),
-        (Modulus, ("kappa", "lam", "alpha", "beta"), tuple(ctx.modulus)),
+        (Modulus, ("kappa", "lam"), tuple(ctx.modulus)),
         (DDContext, ("modulus", "lattice"), (ctx.modulus, ctx.lattice)),
         (Y4Context, ("lam", "kappa", "mu_plus", "mu_minus", "lattice"), tuple(yctx)),
         (QuarticCoefficients, ("a0", "a1", "a2", "a3", "a4"), (1.0, 0.5, 0.25, 0.125, 2.0)),
-        (TaylorShift, ("A0", "A1", "A2", "A3"), (1.0, 2.0, 3.0, 4.0)),
         (IdentityCheck, ("name", "samples", "max_residual", "tolerance", "passed", "elapsed_ms",
                          "worst_z", "error"), tuple(check)),
         (VerificationReport, ("kappa", "seed", "tol", "checks", "wall_time_ms"),

@@ -1,6 +1,7 @@
 """The identity suite: sampling, extreme moduli and the report of a runner that raises."""
 
 import json
+import math
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from sig4.verify import (
     _draw,
     check_ddy4,
     check_final_remark,
+    check_pP,
     run_suite,
 )
 
@@ -157,6 +159,23 @@ def test_worst_z_reproduces_the_worst_residual():
     ))
     x, y = rows["dd-y4-bridge"]["worst_z"]
     assert check_ddy4(complex(x, y), 0.5) == rows["dd-y4-bridge"]["max_residual"]
+
+
+def test_check_pp_replays_the_quarter_turn_worst_z():
+    row = next(c for c in run_suite(0.99, 200, 0, 1e-8).checks if c.name == "wp-quarter-turn")
+    assert row.worst_z is not None
+    assert check_pP(row.worst_z, 0.99) == row.max_residual
+
+
+def test_nan_residual_fails_its_row():
+    # kappa^2 underflows far below the normal range: some samples give NaN,
+    # and a NaN must become the row's worst residual, not drop out of it
+    rows = {c.name: c for c in run_suite(1e-160, 200, 0, 1e-8).checks}
+    for name in ("dd-wp-product", "y4-ode", "y4-shifts", "y4-zero-start", "wp-quarter-turn",
+                 "dd-y4-bridge"):
+        row = rows[name]
+        assert math.isnan(row.max_residual) and not row.passed, name
+        assert row.worst_z is not None and row.error is None, name
 
 
 def test_omega_routes_computed_once_per_suite(monkeypatch):
