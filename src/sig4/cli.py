@@ -4,13 +4,14 @@ Subcommands: ``eval`` (single function value), ``periods`` (half-period
 table), ``invariants`` (invariant pairs and midpoint values), ``table``
 (CSV grid of function values), ``verify`` (identity suite, JSON report).
 
-Every value comes from the closed forms on the lattice: ``d`` is the real
-part of ``dd`` (the Weierstrass product form), ``phi`` is read off p - e1
-on the real axis, and ``periods`` reads both ratios i|omega'|/omega off
-the two lattices.  ``--kappa`` is the dd modulus everywhere: y4plus
-and y4minus take their lattice from its modulus pair (kappa, lam), as
-``periods``, ``invariants`` and ``verify`` do, so a ``worst_z`` of a y4
-row reproduces through ``eval``; ``--lambda`` gives them a bare lam.
+Every value comes from the closed forms on the one dd lattice of a
+modulus: ``d`` is the real part of ``dd`` (the Weierstrass product form),
+``phi`` is read off p - e1 on the real axis and y4plus and y4minus off
+p(2iz); ``periods`` and ``invariants`` give the y4 values by the quarter
+turn: Omega = |omega'|/2, |Omega'| = omega/2, (G2, G3) = (16 g2, -64 g3)
+and E_j = -4 e_(4-j).  ``--kappa`` is the dd modulus everywhere, so a
+``worst_z`` of a y4 row reproduces through ``eval``; ``--lambda`` gives
+y4plus and y4minus a bare lam.
 
 Exit codes: 0 success, 1 numerical or verification failure, 2 usage
 error; a literal or grid point that overflows a float is a usage error.
@@ -157,14 +158,14 @@ def cmd_eval(function, z_text, kappa, lam, g2, g3):
 @click.option("--kappa", type=_UNIT_OPEN, required=True)
 @click.option("--csv", "as_csv", is_flag=True, help="emit one CSV row with header")
 def periods(kappa, as_csv):
-    """Half-periods of both lattices at a modulus, plus both period ratios."""
+    """Half-periods of dd and of y4 at a modulus, plus both period ratios."""
     try:
         ctx = make_context(kappa)
         yctx = make_y4_context(ctx.modulus)
     except DomainError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    pp, ypp = ctx.lattice.periods, yctx.lattice.periods
+    pp, ypp = ctx.lattice.periods, yctx.periods
     rows = [
         ("omega", fmt_real(pp.half_real)),
         ("omega_prime_mag", fmt_real(pp.half_imag_mag)),
@@ -184,15 +185,14 @@ def periods(kappa, as_csv):
 @main.command()
 @click.option("--kappa", type=_UNIT_OPEN, required=True)
 def invariants(kappa):
-    """Invariants and midpoint values of both lattices at a modulus."""
+    """Invariants and midpoint values of the dd and, by the quarter turn, the y4 p-function."""
     try:
         ctx = make_context(kappa)
-        yctx = make_y4_context(ctx.modulus)
     except DomainError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     inv, mid = ctx.lattice.invariants, ctx.lattice.roots
-    yinv, ymid = yctx.lattice.invariants, yctx.lattice.roots
+    yinv = Invariants(16.0 * inv.g2, -64.0 * inv.g3)
     click.echo(f"g2 = {fmt_real(inv.g2)}")
     click.echo(f"g3 = {fmt_real(inv.g3)}")
     click.echo(f"discriminant = {fmt_real(inv.discriminant)}")
@@ -200,7 +200,7 @@ def invariants(kappa):
     click.echo(f"G2 = {fmt_real(yinv.g2)}")
     click.echo(f"G3 = {fmt_real(yinv.g3)}")
     click.echo(f"Discriminant = {fmt_real(yinv.discriminant)}")
-    click.echo(f"Midpoints = {fmt_real(ymid.e1)}, {fmt_real(ymid.e2)}, {fmt_real(ymid.e3)}")
+    click.echo("Midpoints = " + ", ".join(fmt_real(-4.0 * e) for e in reversed(mid)))
 
 
 @main.command()
@@ -257,7 +257,7 @@ def verify(kappa, n, seed, tol, out):
     except (DomainError, RuntimeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    payload = json.dumps(report.to_json_dict(), indent=2)
+    payload = json.dumps(report.to_json_dict(), indent=2, allow_nan=False)
     if out is not None:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")

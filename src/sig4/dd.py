@@ -56,20 +56,24 @@ class DDContext(NamedTuple):
     lattice: Lattice
 
 
-@lru_cache(maxsize=128)
-def make_context(kappa: float) -> DDContext:
-    """Modulus and p-lattice for ``kappa``, from the closed-form roots.
+def dd_lattice(kappa: float, lam: float) -> Lattice:
+    """The p-lattice of the pair (kappa, lam), from the closed-form roots.
 
     e = ((1 + 3 lam)/6, (1 - 3 lam)/6, -1/3), so e1 - e2 = lam,
     e1 - e3 = (1 + lam)/2 and e2 - e3 = kappa^2/(2 (1 + lam)).
     """
-    mod = make_modulus(kappa)
-    lam = mod.lam
     lam2 = lam * lam
     inv = Invariants((3.0 * lam2 + 1.0) / 3.0, (9.0 * lam2 - 1.0) / 27.0)
     roots = MidpointTriple((1.0 + 3.0 * lam) / 6.0, (1.0 - 3.0 * lam) / 6.0, -1.0 / 3.0)
     gaps = (lam, 0.5 * (1.0 + lam), kappa * kappa / (2.0 * (1.0 + lam)))
-    return DDContext(mod, build_lattice(inv, roots, *gaps))
+    return build_lattice(inv, roots, *gaps)
+
+
+@lru_cache(maxsize=128)
+def make_context(kappa: float) -> DDContext:
+    """Modulus and p-lattice (``dd_lattice``) for ``kappa``."""
+    mod = make_modulus(kappa)
+    return DDContext(mod, dd_lattice(*mod))
 
 
 def forward_integral(T: float, mod: Modulus) -> float:

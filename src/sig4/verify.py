@@ -11,12 +11,17 @@ time taken, and assembles a report that is deterministic apart from the
 times.  An identity whose runner raises a numerical error becomes a
 failed row that names the error; the remaining identities still run.
 
-Production code computes each quantity one way, in closed form: p - e_j
-as a squared theta quotient, dd, y4 and phi from it, the forward integral
-by Carlson's R_F and the complete values by the AGM.  The independent
-second routes live here: the half-periods by the trigonometric integrals
-under tanh-sinh quadrature (``omega_three_ways``, ``omega_prime``), and
-phi through its differential equation by central differences.
+Production code computes each quantity one way, in closed form, on one
+lattice per modulus: p - e_j as a squared theta quotient on the dd
+lattice, dd, phi and y4 (at 2iz) from it, the forward integral by
+Carlson's R_F and the complete values by the AGM.  The independent second
+routes live here:
+
+* the y4 lattice built from its own invariants G2, G3 and roots E_j
+  (``y4_lattice``), which gives P, P' and y4_plus in the y4 frame;
+* the half-periods as the forward integrand in Legendre's variable under
+  tanh-sinh quadrature (``omega_three_ways``, ``omega_prime``);
+* phi through its differential equation by central differences.
 
 Sampling uses a self-contained 64-bit linear congruential generator
 (state' = state * 6364136223846793005 + 1442695040888963407 mod 2^64,
@@ -35,7 +40,16 @@ from .dd import DDContext, Modulus, dd, forward_integral, make_context, phi_many
 from .hypergeometric import complete_f
 from .numerics import DomainError, Interval, PoleError, integrate
 from .quartic import QuarticCoefficients, solve_quartic_ivp
-from .weierstrass import PeriodPair, wp, wp_prime
+from .weierstrass import (
+    Invariants,
+    Lattice,
+    MidpointTriple,
+    PeriodPair,
+    build_lattice,
+    mobius,
+    wp,
+    wp_prime,
+)
 from .y4 import (
     Y4Context,
     make_y4_context,
@@ -94,6 +108,7 @@ class IdentityCheck(NamedTuple):
     error: str | None = None
 
     def to_json_dict(self) -> dict:
+        """The row as strict JSON values: a NaN residual is null with "nan": true."""
         z = self.worst_z
         row = {
             "name": self.name,
@@ -103,6 +118,8 @@ class IdentityCheck(NamedTuple):
             "passed": self.passed,
             "elapsed_ms": self.elapsed_ms,
         }
+        if self.max_residual != self.max_residual:
+            row.update(max_residual=None, nan=True)
         if self.error is not None:
             row["error"] = self.error
         return row
@@ -141,20 +158,22 @@ def _draw(rng: Lcg64, pp: PeriodPair, avoid: tuple[complex, ...] = ()) -> comple
 # the half-periods by trigonometric quadrature, independent of the lattice
 
 
-def _singular_half_period_integral(angle: float, tol: float) -> float:
-    """int_0^angle cos(t/2)/sqrt(cos 2t - cos 2*angle) dt.
+def _half_period_integral(cos_a: float, sin_a: float, tol: float) -> float:
+    """int_0^a cos(t/2)/sqrt(cos 2t - cos 2a) dt, given cos a and sin a exactly.
 
-    The difference of cosines is written 2 sin(t + angle) sin(angle - t)
-    and the variable flipped so the inverse square-root singularity sits
-    at 0, where tanh-sinh nodes resolve it exactly.
+    Under sin t = sin a cos theta the inverse square root cancels and the
+    integral becomes (1/sqrt2) int_0^(pi/2) sqrt((1 + c)/2)/c dtheta with
+    c = cos t = hypot(cos a, sin a sin theta): the forward integral's
+    integrand in Legendre's variable, whose near-singularity of width
+    cos a sits at theta = 0, where tanh-sinh nodes cluster.  Quadrature of
+    it is still numerically independent of R_F and the AGM.
     """
 
-    def f(t: float) -> float:
-        return math.cos(0.5 * (angle - t)) / math.sqrt(
-            2.0 * math.sin(2.0 * angle - t) * math.sin(t)
-        )
+    def f(theta: float) -> float:
+        c = math.hypot(cos_a, sin_a * math.sin(theta))
+        return math.sqrt(0.5 * (1.0 + c)) / c
 
-    return integrate(f, Interval(0.0, angle), tol)
+    return integrate(f, Interval(0.0, 0.5 * math.pi), tol) / math.sqrt(2.0)
 
 
 def omega_three_ways(mod: Modulus, tol: float = 1e-12) -> tuple[float, float, float]:
@@ -164,10 +183,11 @@ def omega_three_ways(mod: Modulus, tol: float = 1e-12) -> tuple[float, float, fl
     via_integral: the forward integral at pi/2, by Carlson's R_F
     via_trig:     sqrt(2) int_0^alpha cos(t/2)/sqrt(cos 2t - cos 2 alpha) dt,
                   alpha = arcsin(kappa), by tanh-sinh quadrature to ``tol``
+                  of the substituted integrand (cos alpha, sin alpha = lam, kappa)
     """
     closed = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
     via_integral = forward_integral(0.5 * math.pi, mod)
-    via_trig = math.sqrt(2.0) * _singular_half_period_integral(math.asin(mod.kappa), tol)
+    via_trig = math.sqrt(2.0) * _half_period_integral(mod.lam, mod.kappa, tol)
     return closed, via_integral, via_trig
 
 
@@ -175,11 +195,32 @@ def omega_prime(mod: Modulus, tol: float = 1e-12) -> float:
     """Magnitude of the imaginary half-period, by quadrature.
 
     Computed as 2 int_0^beta cos(t/2)/sqrt(cos 2t - cos 2 beta) dt with
-    beta = pi/2 - arcsin(kappa); it also equals (pi/sqrt2) 2F1(1/4,3/4;1;lam^2),
-    that is (pi/sqrt2) complete_f(lam, kappa), and the lattice route,
+    beta = pi/2 - arcsin(kappa), so (cos beta, sin beta) = (kappa, lam); it
+    also equals (pi/sqrt2) 2F1(1/4,3/4;1;lam^2), that is
+    (pi/sqrt2) complete_f(lam, kappa), and the lattice route,
     ``make_context(kappa).lattice.periods``, gives the same number.
     """
-    return 2.0 * _singular_half_period_integral(0.5 * math.pi - math.asin(mod.kappa), tol)
+    return 2.0 * _half_period_integral(mod.kappa, mod.lam, tol)
+
+
+# ----------------------------------------------------------------------
+# the y4 lattice in its own frame, a second route to what y4 reads
+
+
+def y4_lattice(yctx: Y4Context) -> Lattice:
+    """The p-lattice of the Chebyshev quartic, from its own closed forms.
+
+    G2 = (16/3)(1 + 3 lam^2), G3 = (64/27)(1 - 9 lam^2) and
+    E = (4/3, 2 lam - 2/3, -2/3 - 2 lam), so E1 - E2 = 2 kappa^2/(1 + lam),
+    E1 - E3 = 2 (1 + lam) and E2 - E3 = 4 lam.  Production never builds
+    it: y4 reads P(z) = -4 p(2iz) off the dd lattice.
+    """
+    kappa, lam = yctx.kappa, yctx.lam
+    lam2 = lam * lam
+    inv = Invariants(16.0 / 3.0 * (1.0 + 3.0 * lam2), 64.0 / 27.0 * (1.0 - 9.0 * lam2))
+    roots = MidpointTriple(4.0 / 3.0, 2.0 * lam - 2.0 / 3.0, -2.0 / 3.0 - 2.0 * lam)
+    gaps = (2.0 * kappa * kappa / (1.0 + lam), 2.0 * (1.0 + lam), 4.0 * lam)
+    return build_lattice(inv, roots, *gaps)
 
 
 # ----------------------------------------------------------------------
@@ -189,34 +230,35 @@ def omega_prime(mod: Modulus, tol: float = 1e-12) -> float:
 def check_pP(z: complex, kappa: float) -> float:
     """|P(z) + 4 p(2iz)|: the quarter-turn relation between the lattices."""
     ctx = make_context(kappa)
-    return _pP(ctx, make_y4_context(ctx.modulus), z)
+    return _pP(ctx, y4_lattice(make_y4_context(ctx.modulus)), z)
 
 
-def _pP(ctx: DDContext, yctx: Y4Context, z: complex) -> float:
-    return abs(wp(z, yctx.lattice) + 4.0 * wp(2j * z, ctx.lattice))
+def _pP(ctx: DDContext, ylat: Lattice, z: complex) -> float:
+    return abs(wp(z, ylat) + 4.0 * wp(2j * z, ctx.lattice))
 
 
 def check_ddy4(z: complex, kappa: float) -> float:
-    """Residual of dd(2iz) = 1 + kappa (y4p(z) - mu)/(y4p(z) + mu)."""
+    """Residual of dd(2iz) = 1 + kappa (y4p(z) - mu)/(y4p(z) + mu), multiplied out:
+    |(dd(2iz) - 1)(y + mu) - kappa (y - mu)|/(|y| + mu), y = y4_plus(z) in its own frame."""
     ctx = make_context(kappa)
-    return _ddy4(ctx, make_y4_context(ctx.modulus), z)
+    yctx = make_y4_context(ctx.modulus)
+    return _ddy4(ctx, yctx, y4_lattice(yctx), z)
 
 
-def _ddy4(ctx: DDContext, yctx: Y4Context, z: complex) -> float:
-    y = y4_plus(z, yctx)
-    mu = yctx.mu_plus
-    if abs(y + mu) < 1e-8:
-        raise PoleError("denominator y4 + mu_plus vanishes")
-    return abs(dd(2j * z, ctx) - (1.0 + ctx.modulus.kappa * (y - mu) / (y + mu)))
+def _ddy4(ctx: DDContext, yctx: Y4Context, ylat: Lattice, z: complex) -> float:
+    kappa, mu = yctx.kappa, yctx.mu_plus
+    y = mobius(z, ylat, 1, 2.0 * kappa, mu, 4.0 * kappa * mu)   # y4_plus in the y4 frame
+    return abs((dd(2j * z, ctx) - 1.0) * (y + mu) - kappa * (y - mu)) / (abs(y) + mu)
 
 
 def check_ooOO(kappa: float) -> tuple[float, float]:
-    """Period transfer residuals: |omega - 2|Omega'|| and ||omega'| - 2 Omega|."""
-    ctx = make_context(kappa)
-    yctx = make_y4_context(ctx.modulus)
-    pp, ypp = ctx.lattice.periods, yctx.lattice.periods
-    res1 = abs(pp.half_real - 2.0 * ypp.half_imag_mag)
-    res2 = abs(pp.half_imag_mag - 2.0 * ypp.half_real)
+    """Period transfer residuals |Omega - (pi/(2 sqrt2)) F(lam^2)| and
+    ||Omega'| - (pi/4) F(kappa^2)|: the y4 half-periods that y4 reads off
+    the dd lattice against the AGM closed forms of |omega'|/2 and omega/2."""
+    mod = make_context(kappa).modulus
+    ypp = make_y4_context(mod).periods
+    res1 = abs(ypp.half_real - math.pi / (2.0 * math.sqrt(2.0)) * complete_f(mod.lam, mod.kappa))
+    res2 = abs(ypp.half_imag_mag - 0.25 * math.pi * complete_f(mod.kappa, mod.lam))
     return res1, res2
 
 
@@ -241,13 +283,14 @@ def check_final_remark(z: complex, kappa: float) -> float:
 class SuiteInputs:
     """What the runners of one ``run_suite`` call read.
 
+    ``ylat`` is the y4 lattice in its own frame (``y4_lattice``);
     ``rng`` is one stream that the runners consume in registry order;
     ``omegas`` is computed on first use and shared by the omega rows.
     A plain class, unlike the NamedTuple value records: ``cached_property`` needs a ``__dict__``.
     """
 
-    def __init__(self, ctx: DDContext, yctx: Y4Context, n: int, rng: Lcg64):
-        self.ctx, self.yctx, self.n, self.rng = ctx, yctx, n, rng
+    def __init__(self, ctx: DDContext, yctx: Y4Context, ylat: Lattice, n: int, rng: Lcg64):
+        self.ctx, self.yctx, self.ylat, self.n, self.rng = ctx, yctx, ylat, n, rng
 
     @cached_property
     def omegas(self) -> tuple[float, float, float]:
@@ -345,15 +388,15 @@ def _run_omega_prime_routes(s: SuiteInputs):
     return 1, max(abs(quad - closed), abs(quad - lattice)), None
 
 
-def _y4_ode_residual(y: complex, z: complex, yctx: Y4Context) -> float:
+def _y4_ode_residual(y: complex, z: complex, yctx: Y4Context, ylat: Lattice) -> float:
     """Relative residual of (y')^2 = 8y^4 - 8y^2 + 2 lam^2, for y = y4_plus(z).
 
-    y' comes from the chain rule through p': y = mu (1 + 4 kappa/(P - c))
-    gives y' = -4 kappa mu P'/(P - c)^2, and with P - c = 4 kappa mu/(y - mu)
-    that is y' = -P' (y - mu)^2 / (4 kappa mu).
+    y' comes from the chain rule through P' on the y4 lattice ``ylat``:
+    y = mu (1 + 4 kappa/(P - c)) gives y' = -4 kappa mu P'/(P - c)^2, and
+    with P - c = 4 kappa mu/(y - mu) that is y' = -P' (y - mu)^2 / (4 kappa mu).
     """
     mu = yctx.mu_plus
-    deriv = -wp_prime(z, yctx.lattice) * (y - mu) ** 2 / (4.0 * yctx.kappa * mu)
+    deriv = -wp_prime(z, ylat) * (y - mu) ** 2 / (4.0 * yctx.kappa * mu)
     y2 = y * y
     rhs = 8.0 * y2 * y2 - 8.0 * y2 + 2.0 * yctx.lam ** 2
     return abs(deriv * deriv - rhs) / (1.0 + abs(y) ** 4)
@@ -362,12 +405,12 @@ def _y4_ode_residual(y: complex, z: complex, yctx: Y4Context) -> float:
 def _run_y4_ode(s: SuiteInputs):
     """(y')^2 = 8y^4 - 8y^2 + 2 lam^2 for y4_plus, y' through p'."""
     yctx = s.yctx
-    pp = yctx.lattice.periods
+    pp = yctx.periods
     half = 0.5 * pp.half_real
     poles = (complex(half, 0.0), complex(-half, 0.0))
 
     def residual(z: complex) -> float:
-        return _y4_ode_residual(y4_plus(z, yctx), z, yctx)
+        return _y4_ode_residual(y4_plus(z, yctx), z, yctx, s.ylat)
 
     return _sampled_max(s.n, s.rng, pp, poles, residual)
 
@@ -375,7 +418,7 @@ def _run_y4_ode(s: SuiteInputs):
 def _run_y4_shifts(s: SuiteInputs):
     """Half-period shifts: +Omega negates, +Omega' swaps to the mu_minus branch."""
     yctx = s.yctx
-    pp = yctx.lattice.periods
+    pp = yctx.periods
     hr, hi = pp.half_real, pp.half_imag_mag
     half = 0.5 * hr
     avoid = tuple(
@@ -401,14 +444,14 @@ def _run_y4_zero_pole(s: SuiteInputs):
     zero, pole = y4_zeros_poles(yctx)
     r_zero = abs(y4_plus(zero, yctx))
     pole_value = 4.0 / 3.0 + 2.0 * yctx.kappa
-    r_pole = abs(wp(pole, yctx.lattice) - pole_value)
+    r_pole = abs(wp(pole, s.ylat) - pole_value)
     return 2, max(r_zero, r_pole), None
 
 
 def _run_y4_zero_start(s: SuiteInputs):
     """The zero-shifted translate solves the quartic equation with y(0) = 0."""
     yctx = s.yctx
-    pp = yctx.lattice.periods
+    pp = yctx.periods
     zero, _ = y4_zeros_poles(yctx)
     # pole images of the translate in the sampled cell, in the shifted coordinate
     avoid = tuple(
@@ -418,23 +461,23 @@ def _run_y4_zero_start(s: SuiteInputs):
     )
 
     def residual(z: complex) -> float:
-        return _y4_ode_residual(y4_zero_ivp_solution(z, yctx), z + zero, yctx)
+        return _y4_ode_residual(y4_zero_ivp_solution(z, yctx), z + zero, yctx, s.ylat)
 
     samples, worst, worst_z = _sampled_max(s.n, s.rng, pp, avoid, residual)
     return (samples + 1, *_worse(worst, worst_z, abs(y4_zero_ivp_solution(0.0, yctx)), 0j))
 
 
 def _run_wp_quarter_turn(s: SuiteInputs):
-    """P(z) = -4 p(2iz), plus the exact invariant scaling (2i)^4, (2i)^6."""
-    inv, yinv = s.ctx.lattice.invariants, s.yctx.lattice.invariants
+    """P(z) = -4 p(2iz), P on the y4 lattice, plus the exact invariant scaling (2i)^4, (2i)^6."""
+    inv, yinv = s.ctx.lattice.invariants, s.ylat.invariants
     scale_res = max(abs(16.0 * inv.g2 - yinv.g2), abs(-64.0 * inv.g3 - yinv.g3))
-    sampled = _sampled_max(s.n, s.rng, s.yctx.lattice.periods, (), partial(_pP, s.ctx, s.yctx))
+    sampled = _sampled_max(s.n, s.rng, s.yctx.periods, (), partial(_pP, s.ctx, s.ylat))
     return _with_unplaced(sampled, scale_res)
 
 
 def _run_dd_y4_bridge(s: SuiteInputs):
-    """dd(2iz) = 1 + kappa (y4p - mu)/(y4p + mu) away from the branch pole."""
-    pp = s.yctx.lattice.periods
+    """dd(2iz) = 1 + kappa (y4p - mu)/(y4p + mu), multiplied out, y4p in its own frame."""
+    pp = s.yctx.periods
     half = 0.5 * pp.half_real
     avoid = (
         complex(half, 0.0),
@@ -442,7 +485,7 @@ def _run_dd_y4_bridge(s: SuiteInputs):
         complex(pp.half_real, 0.0),
         complex(-pp.half_real, 0.0),
     )
-    return _sampled_max(s.n, s.rng, pp, avoid, partial(_ddy4, s.ctx, s.yctx))
+    return _sampled_max(s.n, s.rng, pp, avoid, partial(_ddy4, s.ctx, s.yctx, s.ylat))
 
 
 def _run_period_transfer(s: SuiteInputs):
@@ -482,9 +525,9 @@ def _run_quartic_ivp_y4(s: SuiteInputs):
     yctx = s.yctx
     q = y4_equation_quartic(yctx.lam)
     solution, inv = solve_quartic_ivp(q, yctx.mu_plus)
-    ref = yctx.lattice.invariants
+    ref = s.ylat.invariants
     inv_res = max(abs(inv.g2 - ref.g2), abs(inv.g3 - ref.g3))
-    pp = yctx.lattice.periods
+    pp = yctx.periods
     half = 0.5 * pp.half_real
     poles = (complex(half, 0.0), complex(-half, 0.0))
 
@@ -537,10 +580,11 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
         raise RuntimeError(f"context construction failed at stage 'dd': {exc}") from exc
     try:
         yctx = make_y4_context(ctx.modulus)
+        ylat = y4_lattice(yctx)
     except Exception as exc:
         raise RuntimeError(f"context construction failed at stage 'y4': {exc}") from exc
 
-    suite = SuiteInputs(ctx, yctx, n_samples, Lcg64(seed))
+    suite = SuiteInputs(ctx, yctx, ylat, n_samples, Lcg64(seed))
     checks = []
     for name, runner in REGISTRY:
         began = time.perf_counter()

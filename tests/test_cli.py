@@ -112,7 +112,7 @@ def test_y4_worst_z_replays_through_eval():
     value = parse_complex(result.output)
     yctx = make_y4_context(make_context(1e-3).modulus)
     assert value == y4_plus(z, yctx)
-    assert verify._y4_ode_residual(value, z, yctx) == row.max_residual
+    assert verify._y4_ode_residual(value, z, yctx, verify.y4_lattice(yctx)) == row.max_residual
 
 
 def test_eval_y4plus_with_a_bare_lambda():
@@ -209,3 +209,31 @@ def test_verify_prints_report_when_an_identity_raises(monkeypatch):
     first, rest = report["checks"][0], report["checks"][1:]
     assert first["error"] == "ConvergenceError: walk stalled" and not first["passed"]
     assert len(rest) == 13 and all(c["passed"] for c in rest)
+
+
+def test_verify_writes_strict_json_for_nan_residuals():
+    # at kappa = 1e-160 some residuals are NaN; RFC 8259 has no NaN, so such
+    # a row reads "max_residual": null with "nan": true, and still fails
+    def strict(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    result = _invoke(["verify", "--kappa", "1e-160"])
+    assert result.exit_code == 1
+    rows = {c["name"]: c for c in json.loads(result.output, parse_constant=strict)["checks"]}
+    flagged = {name for name, c in rows.items() if c.get("nan")}
+    nan = {"dd-wp-product", "y4-ode", "y4-shifts", "y4-zero-start", "wp-quarter-turn",
+           "dd-y4-bridge"}
+    assert nan <= flagged, nan - flagged
+    assert all(rows[name]["max_residual"] is None and not rows[name]["passed"] for name in flagged)
+    assert all("nan" not in c for c in rows.values() if c["max_residual"] is not None)
+
+
+def test_invariants_print_the_quarter_turn_scaling():
+    output = _invoke(["invariants", "--kappa", "0.6"]).output
+    lines = dict(line.split(" = ") for line in output.splitlines())
+    g2, g3 = float(lines["g2"]), float(lines["g3"])
+    assert (float(lines["G2"]), float(lines["G3"])) == (16.0 * g2, -64.0 * g3)
+    e = [float(v) for v in lines["midpoints"].split(", ")]
+    assert [float(v) for v in lines["Midpoints"].split(", ")] == [-4.0 * x for x in e[::-1]]
+    assert float(lines["G2"]) == pytest.approx(15.573333333333332, rel=1e-15)
+    assert float(lines["G3"]) == pytest.approx(-11.282962962962962, rel=1e-15)

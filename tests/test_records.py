@@ -41,7 +41,7 @@ def _records():
                    "table", "slopes"), tuple(ctx.lattice)),
         (Modulus, ("kappa", "lam"), tuple(ctx.modulus)),
         (DDContext, ("modulus", "lattice"), (ctx.modulus, ctx.lattice)),
-        (Y4Context, ("lam", "kappa", "mu_plus", "mu_minus", "lattice"), tuple(yctx)),
+        (Y4Context, ("lam", "kappa", "mu_plus", "mu_minus", "dd_lattice", "periods"), tuple(yctx)),
         (QuarticCoefficients, ("a0", "a1", "a2", "a3", "a4"), (1.0, 0.5, 0.25, 0.125, 2.0)),
         (IdentityCheck, ("name", "samples", "max_residual", "tolerance", "passed", "elapsed_ms",
                          "worst_z", "error"), tuple(check)),

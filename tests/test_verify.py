@@ -8,6 +8,7 @@ import pytest
 
 import sig4.verify as verify
 from sig4.dd import make_context
+from sig4.hypergeometric import complete_f
 from sig4.numerics import ConvergenceError
 from sig4.verify import (
     REGISTRY_NAMES,
@@ -16,6 +17,8 @@ from sig4.verify import (
     check_ddy4,
     check_final_remark,
     check_pP,
+    omega_prime,
+    omega_three_ways,
     run_suite,
 )
 
@@ -28,21 +31,53 @@ def test_y4_zero_start_avoids_every_pole_image(kappa):
     assert check.passed, check.max_residual
 
 
-@pytest.mark.parametrize("kappa", [0.999, 0.9999, 1.0 - 1e-9])
+@pytest.mark.parametrize("kappa", [0.999, 0.9999, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0 ** -52])
 def test_all_identities_near_kappa_one(kappa):
+    # the omega integrals carry no inverse square root, so they converge
+    # where lam, the width of their near-singularity, is 1e-12 or less
     report = run_suite(kappa, 200, 0, 1e-8)
     assert [c.name for c in report.checks if not c.passed] == []
 
 
-@pytest.mark.parametrize("kappa", [1e-4, 1e-3])
+@pytest.mark.parametrize("kappa", [1e-4, 1e-3, 1e-8])
 def test_y4_equation_rows_at_small_kappa(kappa):
     # y' comes from p', which must keep its relative accuracy where |p'| is
     # small on the nearly degenerate y4 lattice; dd-y4-bridge needs dd and
-    # y4 to take p - e_j from one modulus pair.  Only the quartic solver's
+    # y4 to take p - e_j from one modulus pair, and is checked multiplied
+    # out, as y + mu_plus ~ 1e-8 at kappa = 1e-8.  Only the quartic solver's
     # rows, whose roots come from the invariants by Viete, may fail here
     report = run_suite(kappa, 200, 0, 1e-8)
     failed = {c.name: c.max_residual for c in report.checks if not c.passed}
     assert set(failed) <= {"quartic-ivp-dd", "quartic-ivp-y4"}, failed
+
+
+@pytest.mark.parametrize("kappa", [1e-15, 1e-8, 0.5, 1.0 - 1e-12, 1.0 - 2.0 ** -53])
+def test_half_period_quadrature_at_both_ends(kappa):
+    mod = make_context(kappa).modulus
+    closed, _, via_trig = omega_three_ways(mod, tol=1e-13)
+    assert abs(via_trig - closed) <= 2e-14 * closed
+    closed_prime = math.pi / math.sqrt(2.0) * complete_f(mod.lam, mod.kappa)
+    assert abs(omega_prime(mod, tol=1e-13) - closed_prime) <= 2e-14 * closed_prime
+
+
+def _perturbed(value):
+    return value * (1.0 + 1e-7)
+
+
+def test_period_transfer_and_bridge_can_fail(monkeypatch):
+    # each row compares two routes, so an error in one of them shows
+    original_context, original_dd = verify.make_y4_context, verify.dd
+
+    def skewed_context(param):
+        yctx = original_context(param)
+        return yctx._replace(periods=yctx.periods._replace(
+            half_real=_perturbed(yctx.periods.half_real)))
+
+    monkeypatch.setattr(verify, "make_y4_context", skewed_context)
+    monkeypatch.setattr(verify, "dd", lambda z, ctx: _perturbed(original_dd(z, ctx)))
+    rows = {c.name: c for c in run_suite(0.5, 20, 0, 1e-8).checks}
+    assert not rows["period-transfer"].passed and rows["period-transfer"].max_residual > 1e-8
+    assert not rows["dd-y4-bridge"].passed and rows["dd-y4-bridge"].max_residual > 1e-8
 
 
 def test_real_axis_equation_at_kappa_nearest_one():

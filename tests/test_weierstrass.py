@@ -10,7 +10,7 @@ import pytest
 from sig4.dd import dd, make_context
 from sig4.numerics import DomainError, PoleError
 from sig4.quartic import solve_quartic_ivp
-from sig4.verify import dd_equation_quartic
+from sig4.verify import dd_equation_quartic, y4_lattice
 from sig4.weierstrass import (
     Invariants,
     _evaluate,
@@ -214,16 +214,17 @@ KERNEL_KAPPAS = [1e-4, 1e-3, 0.5, 0.99, 1.0 - 1e-6]
 def _lattice_and_roots(kind: str, kappa: float, exact: bool = False):
     """The float lattice of ``kind`` at ``kappa``, and its roots exact in mp.
 
-    The roots are the closed forms of the float lam each context is built
-    from, so the reference shares the lattice's input but none of its
-    arithmetic.  With ``exact``, the y4 lattice comes from the dd modulus
-    pair and lam = sqrt(1 - kappa^2) is formed in mp from the float kappa:
+    The y4 lattice is the suite's own, in the rotated frame.  The roots are
+    the closed forms of the float lam each context is built from, so the
+    reference shares the lattice's input but none of its arithmetic.  With
+    ``exact``, the y4 lattice comes from the dd modulus pair and
+    lam = sqrt(1 - kappa^2) is formed in mp from the float kappa:
     at kappa <= 1e-8 the float lam rounds to 1.0, and roots built from it
     merge.  60 digits keep 29 in the gap 1 - lam ~ 5e-31 at kappa = 1e-15.
     """
     ctx = make_context(kappa)
-    lat = ctx.lattice if kind == "dd" else make_y4_context(
-        ctx.modulus if exact else ctx.modulus.lam).lattice
+    lat = ctx.lattice if kind == "dd" else y4_lattice(make_y4_context(
+        ctx.modulus if exact else ctx.modulus.lam))
     with mpmath.workdps(60):
         lam = mpmath.sqrt(1 - mpmath.mpf(kappa) ** 2) if exact else mpmath.mpf(ctx.modulus.lam)
         third = mpmath.mpf(1) / 3
@@ -390,7 +391,7 @@ def _mobius_images():
     """(function, value at the lattice points, a pole) for every caller of ``mobius``."""
     ctx = make_context(0.5)
     yctx = make_y4_context(ctx.modulus)
-    hr, hi = yctx.lattice.periods.half_real, yctx.lattice.periods.half_imag_mag
+    hr, hi = yctx.periods.half_real, yctx.periods.half_imag_mag
     solution, inv = solve_quartic_ivp(dd_equation_quartic(ctx.modulus.lam), 1.0)
     return {
         "dd": (lambda z: dd(z, ctx), 1.0, complex(0.0, ctx.lattice.periods.half_imag_mag)),
@@ -448,7 +449,7 @@ def test_value_alone_matches_value_with_derivative(kappa):
     # the one the four-theta path gives, bit for bit, in both frames, at
     # every anchor and for every root
     ctx = make_context(kappa)
-    lattices = (ctx.lattice, make_y4_context(ctx.modulus).lattice)
+    lattices = (ctx.lattice, y4_lattice(make_y4_context(ctx.modulus)))
     assert {lat.rotated for lat in lattices} == {False, True}
     for lat in lattices:
         hr, hi = lat.periods

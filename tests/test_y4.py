@@ -8,7 +8,8 @@ import pytest
 
 from sig4.dd import make_context
 from sig4.numerics import DomainError, PoleError
-from sig4.weierstrass import wp
+from sig4.verify import Lcg64, y4_lattice
+from sig4.weierstrass import mobius, wp
 from sig4.y4 import (
     make_y4_context,
     y4_minus,
@@ -46,12 +47,12 @@ def test_context_fields(ctx):
     assert ctx.kappa == pytest.approx(0.6, abs=1e-15)
     assert ctx.mu_plus == pytest.approx(MU_PLUS, abs=1e-15)
     assert ctx.mu_minus == pytest.approx(MU_MINUS, abs=1e-15)
-    inv, pp = ctx.lattice.invariants, ctx.lattice.periods
+    inv, pp = y4_lattice(ctx).invariants, ctx.periods
     assert inv.g2 == pytest.approx(15.573333333333332, abs=1e-12)
     assert inv.g3 == pytest.approx(-11.282962962962962, abs=1e-12)
     assert pp.half_real == pytest.approx(OMEGA_BIG, abs=1e-12)
     assert pp.half_imag_mag == pytest.approx(OMEGA_BIG_PRIME, abs=1e-12)
-    e = ctx.lattice.roots
+    e = y4_lattice(ctx).roots
     assert (e.e1, e.e2, e.e3) == pytest.approx(
         (4.0 / 3.0, 0.9333333333333333, -2.2666666666666666), abs=1e-15
     )
@@ -68,11 +69,46 @@ def test_context_root_identities(ctx):
 
 
 def test_context_from_the_dd_modulus_is_the_turned_dd_lattice():
-    # given the pair (kappa, lam) itself, the y4 lattice has the dd nome;
-    # kappa recovered from the float lam moves it by 1.4e-8 at kappa = 1e-4
-    dd_ctx = make_context(1e-4)
-    nome = make_y4_context(dd_ctx.modulus).lattice.nome
-    assert abs(nome - dd_ctx.lattice.nome) <= 1e-15 * dd_ctx.lattice.nome
+    # y4 is the dd function turned by a quarter: it builds no lattice of its
+    # own, and its half-periods are the dd ones swapped and halved
+    for kappa in (1e-4, 0.5, 1.0 - 1e-9):
+        dd_ctx = make_context(kappa)
+        yctx = make_y4_context(dd_ctx.modulus)
+        assert yctx.dd_lattice is dd_ctx.lattice
+        hr, hi = dd_ctx.lattice.periods
+        assert tuple(yctx.periods) == (0.5 * hi, 0.5 * hr)
+
+
+def _outcome(function, z):
+    try:
+        return function(z)
+    except PoleError:
+        return "pole"
+
+
+@pytest.mark.parametrize("bare", [False, True])
+@pytest.mark.parametrize(
+    "value", [1e-15, 1e-8, 1e-4, 0.5, 1.0 / math.sqrt(2.0), 0.99, 1.0 - 1e-9, 1.0 - 2.0 ** -52])
+def test_turned_dd_lattice_equals_the_y4_lattice_bit_for_bit(value, bare):
+    # the dd route p(2iz) gives y4+- exactly as the y4 lattice's own theta
+    # quotients do, poles included; ``value`` is kappa of a dd modulus, or a
+    # bare lam
+    yctx = make_y4_context(value if bare else make_context(value).modulus)
+    ylat = y4_lattice(yctx)
+    k, lam, mu_p, mu_m = yctx.kappa, yctx.lam, yctx.mu_plus, yctx.mu_minus
+    routes = (
+        (lambda z: y4_plus(z, yctx), lambda z: mobius(z, ylat, 1, 2.0 * k, mu_p, 4.0 * k * mu_p)),
+        (lambda z: y4_minus(z, yctx), lambda z: mobius(
+            z, ylat, 2, -2.0 * k * (1.0 - k + lam) / (1.0 + lam), mu_m, -4.0 * k * mu_m)),
+    )
+    hr, hi = yctx.periods
+    assert tuple(ylat.periods) == (hr, hi)
+    points = [complex(a * hr, b * hi) for a in (0.0, 0.5, 1.0, -1.5) for b in (0.0, 1.0, -2.0)]
+    rng = Lcg64(3)
+    points += [rng.point(2.0 * hr, 2.0 * hi) for _ in range(300)]
+    for z in points:
+        for turned, own in routes:
+            assert repr(_outcome(turned, z)) == repr(_outcome(own, z)), z
 
 
 def test_mu_minus_nearest_one():
@@ -96,31 +132,32 @@ class TestY4Values:
         assert y4_minus(0.0, ctx) == complex(ctx.mu_minus)
 
     def test_half_period_values(self, ctx):
-        hr, hi = ctx.lattice.periods.half_real, ctx.lattice.periods.half_imag_mag
+        hr, hi = ctx.periods.half_real, ctx.periods.half_imag_mag
         assert y4_plus(hr, ctx).real == pytest.approx(-MU_PLUS, abs=1e-9)
         assert y4_plus(complex(0.0, hi), ctx).real == pytest.approx(MU_MINUS, abs=1e-9)
         assert y4_plus(complex(hr, hi), ctx).real == pytest.approx(-MU_MINUS, abs=1e-9)
 
     def test_midpoint_values_of_p(self, ctx):
-        hr, hi = ctx.lattice.periods.half_real, ctx.lattice.periods.half_imag_mag
+        hr, hi = ctx.periods.half_real, ctx.periods.half_imag_mag
         lam = ctx.lam
-        assert wp(hr, ctx.lattice).real == pytest.approx(4.0 / 3.0, abs=1e-9)
-        assert wp(complex(hr, hi), ctx.lattice).real == pytest.approx(
+        ylat = y4_lattice(ctx)
+        assert wp(hr, ylat).real == pytest.approx(4.0 / 3.0, abs=1e-9)
+        assert wp(complex(hr, hi), ylat).real == pytest.approx(
             -2.0 / 3.0 + 2.0 * lam, abs=1e-9
         )
-        assert wp(complex(0.0, hi), ctx.lattice).real == pytest.approx(
+        assert wp(complex(0.0, hi), ylat).real == pytest.approx(
             -2.0 / 3.0 - 2.0 * lam, abs=1e-9
         )
 
     def test_pole_raises(self, ctx):
         with pytest.raises(PoleError):
-            y4_plus(0.5 * ctx.lattice.periods.half_real, ctx)
+            y4_plus(0.5 * ctx.periods.half_real, ctx)
 
 
 class TestShiftLaws:
     def test_real_shift_negates(self, ctx):
         rng = random.Random(21)
-        hr = ctx.lattice.periods.half_real
+        hr = ctx.periods.half_real
         for _ in range(30):
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.7, 0.7))
             if abs(z.real) > 0.9 * hr:
@@ -134,7 +171,7 @@ class TestShiftLaws:
 
     def test_imaginary_shift_swaps_branch(self, ctx):
         rng = random.Random(22)
-        hi = ctx.lattice.periods.half_imag_mag
+        hi = ctx.periods.half_imag_mag
         for _ in range(30):
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.7, 0.7))
             try:
@@ -146,7 +183,7 @@ class TestShiftLaws:
 
     def test_both_shifts_negate_minus_branch(self, ctx):
         rng = random.Random(24)
-        hr, hi = ctx.lattice.periods.half_real, ctx.lattice.periods.half_imag_mag
+        hr, hi = ctx.periods.half_real, ctx.periods.half_imag_mag
         for _ in range(30):
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.7, 0.7))
             try:
@@ -157,7 +194,7 @@ class TestShiftLaws:
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(rhs))
 
     def test_minus_at_omega(self, ctx):
-        assert y4_minus(ctx.lattice.periods.half_real, ctx).real == pytest.approx(
+        assert y4_minus(ctx.periods.half_real, ctx).real == pytest.approx(
             -MU_MINUS, abs=1e-9
         )
 
@@ -177,7 +214,7 @@ class TestZerosPoles:
     def test_pole_denominator_value(self, ctx):
         # P at the pole point takes exactly the bracket-busting value 4/3 + 2 kappa
         _, pole = y4_zeros_poles(ctx)
-        assert wp(pole, ctx.lattice).real == pytest.approx(
+        assert wp(pole, y4_lattice(ctx)).real == pytest.approx(
             4.0 / 3.0 + 2.0 * ctx.kappa, abs=1e-10
         )
 
@@ -210,7 +247,7 @@ class TestZeroStartSolution:
             assert abs(deriv * deriv - (8 * y2 * y2 - 8 * y2 + 2 * lam2)) <= 1e-7
 
     def test_negative_solution_via_omega_shift(self, ctx):
-        hr = ctx.lattice.periods.half_real
+        hr = ctx.periods.half_real
         for z in (0.2, 0.3 + 0.1j):
             lhs = y4_zero_ivp_solution(z + hr, ctx)
             rhs = -y4_zero_ivp_solution(z, ctx)
@@ -220,7 +257,7 @@ class TestZeroStartSolution:
 def test_double_values_have_zero_derivative(ctx):
     # derivative vanishes where y4_plus takes the quartic-root values
     h = 1e-6
-    hr, hi = ctx.lattice.periods.half_real, ctx.lattice.periods.half_imag_mag
+    hr, hi = ctx.periods.half_real, ctx.periods.half_imag_mag
     for point in (0.0, hr, complex(0.0, hi), complex(hr, hi)):
         deriv = (y4_plus(point + h, ctx) - y4_plus(point - h, ctx)) / (2 * h)
         assert abs(deriv) <= 1e-8
@@ -228,7 +265,7 @@ def test_double_values_have_zero_derivative(ctx):
 
 def test_ode_residual_cell_sweep(ctx):
     rng = random.Random(33)
-    hr, hi = ctx.lattice.periods.half_real, ctx.lattice.periods.half_imag_mag
+    hr, hi = ctx.periods.half_real, ctx.periods.half_imag_mag
     h = 1e-6
     lam2 = ctx.lam ** 2
     margin = 0.05 * min(hr, hi)
