@@ -7,7 +7,32 @@ them, a general quartic initial-value solver, and a verification engine
 that turns each defining identity into a checked residual.  The value
 records (``Invariants``, ``Lattice``, the contexts, the report rows, ...)
 are NamedTuples: immutable, compared and hashed by value, and tuples.
+
+The identity suite (``sig4.verify`` and the series reference
+``sig4.hypergeometric``) loads on first use: ``import sig4`` registers
+both modules in ``sys.modules`` through ``importlib.util.LazyLoader``
+without executing them, and the suite's re-exported names (``run_suite``,
+``hyp2f1``, ...) resolve through the module ``__getattr__``.  They stay
+registered, ahead of the eagerly loaded modules, because the benchmark
+tracer looks them up in ``sys.modules`` by name and patches the modules in
+that order; a module first run mid-patch would otherwise bind some
+already-wrapped functions.
 """
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
+
+def _register_lazily(name: str):
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+hypergeometric = _register_lazily("hypergeometric")
+verify = _register_lazily("verify")
 
 from .numerics import (
     ConvergenceError,
@@ -18,7 +43,6 @@ from .numerics import (
     integrate,
     solve_depressed_cubic,
 )
-from .hypergeometric import complete_f, hyp2f1
 from .weierstrass import (
     Invariants,
     Lattice,
@@ -58,18 +82,25 @@ from .quartic import (
     solve_quartic_ivp,
     taylor_shift,
 )
-from .verify import (
-    IdentityCheck,
-    Lcg64,
-    REGISTRY_NAMES,
-    VerificationReport,
-    check_ddy4,
-    check_final_remark,
-    check_ooOO,
-    check_pP,
-    omega_prime,
-    omega_three_ways,
-    run_suite,
-)
+
+# name -> the lazily loaded module that defines it
+_SUITE_NAMES = dict.fromkeys(
+    ("IdentityCheck", "Lcg64", "REGISTRY_NAMES", "VerificationReport", "check_ddy4",
+     "check_final_remark", "check_ooOO", "check_pP", "omega_prime", "omega_three_ways",
+     "run_suite"),
+    "verify",
+) | dict.fromkeys(("complete_f", "hyp2f1"), "hypergeometric")
+
+
+def __getattr__(name: str):
+    module = _SUITE_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[module], name)
+
+
+def __dir__():
+    return sorted(globals().keys() | _SUITE_NAMES.keys())
+
 
 __version__ = "0.1.0"

@@ -17,7 +17,9 @@ Exit codes: 0 success, 1 numerical or verification failure, 2 usage
 error; a literal or grid point that overflows a float is a usage error.
 The environment variable SIG4_TOL overrides the default verification
 tolerance.  ``verify`` prints its report even when some identities failed
-or raised; it exits 1 then.
+or raised; it exits 1 then.  Only ``verify`` loads the identity suite
+(``sig4.verify``): ``eval``, ``table``, ``periods`` and ``invariants``
+never execute it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .dd import dd, make_context, phi
 from .numerics import DomainError, PoleError
 from .weierstrass import Invariants, wp
 from .y4 import make_y4_context, y4_minus, y4_plus
-from .verify import run_suite
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
@@ -248,6 +249,8 @@ def table(function, kappa, lam, g2, g3, start, stop, steps, imag):
               help="write the JSON report to a file instead of stdout")
 def verify(kappa, n, seed, tol, out):
     """Run the identity suite; exit 0 only if every check passes."""
+    from .verify import run_suite
+
     if tol is None:
         tol = _default_tol()
     if tol <= 0.0:

@@ -158,7 +158,7 @@ def _draw(rng: Lcg64, pp: PeriodPair, avoid: tuple[complex, ...] = ()) -> comple
 # the half-periods by trigonometric quadrature, independent of the lattice
 
 
-def _half_period_integral(cos_a: float, sin_a: float, tol: float) -> float:
+def _half_period_integral(cos_a: float, sin_a: float, tol: float, split: bool = False) -> float:
     """int_0^a cos(t/2)/sqrt(cos 2t - cos 2a) dt, given cos a and sin a exactly.
 
     Under sin t = sin a cos theta the inverse square root cancels and the
@@ -167,13 +167,27 @@ def _half_period_integral(cos_a: float, sin_a: float, tol: float) -> float:
     integrand in Legendre's variable, whose near-singularity of width
     cos a sits at theta = 0, where tanh-sinh nodes cluster.  Quadrature of
     it is still numerically independent of R_F and the AGM.
+
+    The clustering resolves that peak at cos a = 1e-80 but no longer at
+    1e-100.  With ``split`` the range is cut at theta = cos a and the tail
+    integrated in s = ln theta, where the integrand times theta is smooth
+    and bounded; that holds to a few ulps down to cos a = 1e-300.
     """
 
     def f(theta: float) -> float:
         c = math.hypot(cos_a, sin_a * math.sin(theta))
         return math.sqrt(0.5 * (1.0 + c)) / c
 
-    return integrate(f, Interval(0.0, 0.5 * math.pi), tol) / math.sqrt(2.0)
+    if not split:
+        return integrate(f, Interval(0.0, 0.5 * math.pi), tol) / math.sqrt(2.0)
+
+    def tail(s: float) -> float:
+        theta = math.exp(s)
+        return f(theta) * theta
+
+    head = integrate(f, Interval(0.0, cos_a), tol)
+    rest = integrate(tail, Interval(math.log(cos_a), math.log(0.5 * math.pi)), tol)
+    return (head + rest) / math.sqrt(2.0)
 
 
 def omega_three_ways(mod: Modulus, tol: float = 1e-12) -> tuple[float, float, float]:
@@ -183,7 +197,8 @@ def omega_three_ways(mod: Modulus, tol: float = 1e-12) -> tuple[float, float, fl
     via_integral: the forward integral at pi/2, by Carlson's R_F
     via_trig:     sqrt(2) int_0^alpha cos(t/2)/sqrt(cos 2t - cos 2 alpha) dt,
                   alpha = arcsin(kappa), by tanh-sinh quadrature to ``tol``
-                  of the substituted integrand (cos alpha, sin alpha = lam, kappa)
+                  of the substituted integrand (cos alpha, sin alpha = lam, kappa),
+                  unsplit: lam >= 1.4e-8 for every float kappa < 1
     """
     closed = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
     via_integral = forward_integral(0.5 * math.pi, mod)
@@ -200,7 +215,7 @@ def omega_prime(mod: Modulus, tol: float = 1e-12) -> float:
     (pi/sqrt2) complete_f(lam, kappa), and the lattice route,
     ``make_context(kappa).lattice.periods``, gives the same number.
     """
-    return 2.0 * _half_period_integral(mod.kappa, mod.lam, tol)
+    return 2.0 * _half_period_integral(mod.kappa, mod.lam, tol, split=True)
 
 
 # ----------------------------------------------------------------------

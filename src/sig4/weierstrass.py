@@ -182,13 +182,18 @@ def half_periods(inv: Invariants) -> PeriodPair:
     return lattice(inv).periods
 
 
+def _far_argument(z: complex) -> DomainError:
+    """The error for an argument past 2^53 half-periods, whose reduction keeps no digits."""
+    return DomainError(f"argument {z} lies 2^53 or more half-periods out")
+
+
 def _evaluate(z: complex, lat: Lattice, j: int, prime: bool) -> tuple[complex, complex]:
     """(p - e_j, p') at z, j = 0 giving p itself; unless ``prime``, p' is 0j
     and only theta_N and theta_D are formed."""
     _, _, (hr, hi), rotated, scale, _, coeffs, table, slopes = lat
     x, y = z.real / hr, z.imag / hi
     if not (_REACH_LO < x < _REACH_HI and _REACH_LO < y < _REACH_HI):
-        raise DomainError(f"argument {z} lies 2^53 or more half-periods out")
+        raise _far_argument(z)
     sr, si = round(x), round(y)
     w = complex(z.real - sr * hr, z.imag - si * hi)
     anchor = (sr & 1) | (si & 1) << 1

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .dd import Modulus, dd_lattice, make_context
 from .numerics import DomainError
-from .weierstrass import Lattice, PeriodPair, mobius
+from .weierstrass import Lattice, PeriodPair, _far_argument, mobius
 
 
 class Y4Context(NamedTuple):
@@ -59,7 +59,10 @@ def make_y4_context(param: Modulus | float) -> Y4Context:
 def y4_plus(z: complex, ctx: Y4Context) -> complex:
     """The solution with value mu_plus at 0; poles congruent to +-Omega/2."""
     kappa, mu = ctx.kappa, ctx.mu_plus
-    return mobius(2j * z, ctx.dd_lattice, 3, -0.5 * kappa, mu, -kappa * mu)
+    try:
+        return mobius(2j * z, ctx.dd_lattice, 3, -0.5 * kappa, mu, -kappa * mu)
+    except DomainError:   # raised for 2iz; name the caller's z
+        raise _far_argument(z) from None
 
 
 def y4_minus(z: complex, ctx: Y4Context) -> complex:
@@ -69,7 +72,10 @@ def y4_minus(z: complex, ctx: Y4Context) -> complex:
     (p - e3) - kappa/2 = (p - e2) - kappa (1 - kappa + lam)/(2 (1 + lam)).
     """
     k, lam, mu = ctx.kappa, ctx.lam, ctx.mu_minus
-    return mobius(2j * z, ctx.dd_lattice, 2, 0.5 * k * (1.0 - k + lam) / (1.0 + lam), mu, k * mu)
+    try:
+        return mobius(2j * z, ctx.dd_lattice, 2, 0.5 * k * (1.0 - k + lam) / (1.0 + lam), mu, k * mu)
+    except DomainError:
+        raise _far_argument(z) from None
 
 
 def y4_zeros_poles(ctx: Y4Context) -> tuple[complex, complex]:

@@ -170,10 +170,11 @@ def test_non_finite_arguments_are_usage_errors(args):
     ["wp", "--g2", "1", "--g3", "0"], ["dd", "--kappa", "0.5"], ["y4plus", "--kappa", "0.5"],
 ], ids=["wp", "dd", "y4plus"])
 def test_huge_finite_argument_is_an_error(args):
-    # 1e300 lies far past 2^53 half-periods: its reduction keeps no digits
+    # 1e300 lies far past 2^53 half-periods: its reduction keeps no digits; the
+    # message names the z given, also for y4plus, which evaluates p at 2iz
     result = _invoke(["eval", *args, "--z", "1e300"])
     assert result.exit_code == 1, result.output
-    assert result.output.startswith("error: ")
+    assert result.output == "error: argument (1e+300+0j) lies 2^53 or more half-periods out\n"
 
 
 def test_non_numeric_sig4_tol_is_usage_error():

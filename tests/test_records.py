@@ -1,5 +1,6 @@
 """The value records: immutable NamedTuples, compared and hashed by value."""
 
+import json
 import math
 import os
 import subprocess
@@ -92,3 +93,57 @@ def test_import_generates_no_dataclasses_and_loads_every_module():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+_SUITE_EXPORTS = {
+    "verify": ("run_suite", "IdentityCheck", "VerificationReport", "Lcg64", "REGISTRY_NAMES",
+               "check_ddy4", "check_final_remark", "check_ooOO", "check_pP", "omega_prime",
+               "omega_three_ways"),
+    "hypergeometric": ("complete_f", "hyp2f1"),
+}
+
+
+def test_identity_suite_loads_on_first_use():
+    # a fresh interpreter: import sig4 and the table command leave the suite
+    # modules registered but unexecuted; the first re-exported name runs them
+    src = os.path.dirname(os.path.dirname(sig4.__file__))
+    code = f"""
+import json, sys
+import sig4
+from sig4.cli import main
+
+def executed():
+    # object.__getattribute__ reads the namespace without triggering the load
+    return [name for name, first in (("verify", "run_suite"), ("hypergeometric", "hyp2f1"))
+            if first in object.__getattribute__(sys.modules["sig4." + name], "__dict__")]
+
+out = {{"after_import": executed(),
+        "first": [name for name in sys.modules if name.startswith("sig4.")][:2]}}
+main(["table", "phi", "--kappa", "0.5", "--from", "0", "--to", "1", "--steps", "2"],
+     standalone_mode=False)
+out["after_table"] = executed()
+try:
+    sig4.no_such_name
+    out["missing"] = "resolved"
+except AttributeError:
+    out["missing"] = "AttributeError"
+out["same"] = {{name: getattr(sig4, name) is getattr(sys.modules["sig4." + module], name)
+               for module, names in {_SUITE_EXPORTS!r}.items() for name in names}}
+out["after_names"] = executed()
+from sig4 import run_suite
+import sig4.verify
+out["import_forms"] = run_suite is sig4.verify.run_suite is sig4.run_suite
+print(json.dumps(out))
+"""
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["after_import"] == [] and result["after_table"] == []
+    # registered ahead of the eager modules: a tracer that patches sys.modules in
+    # order runs them before it has wrapped anything they import
+    assert result["first"] == ["sig4.hypergeometric", "sig4.verify"]
+    assert result["missing"] == "AttributeError"
+    assert result["same"] == {name: True for names in _SUITE_EXPORTS.values() for name in names}
+    assert result["after_names"] == ["verify", "hypergeometric"]
+    assert result["import_forms"] is True

@@ -51,7 +51,8 @@ def test_y4_equation_rows_at_small_kappa(kappa):
     assert set(failed) <= {"quartic-ivp-dd", "quartic-ivp-y4"}, failed
 
 
-@pytest.mark.parametrize("kappa", [1e-15, 1e-8, 0.5, 1.0 - 1e-12, 1.0 - 2.0 ** -53])
+@pytest.mark.parametrize("kappa", [1e-300, 1e-160, 1e-100, 1e-15, 1e-8, 0.5, 1.0 - 1e-12,
+                                   1.0 - 2.0 ** -53])
 def test_half_period_quadrature_at_both_ends(kappa):
     mod = make_context(kappa).modulus
     closed, _, via_trig = omega_three_ways(mod, tol=1e-13)

@@ -126,6 +126,15 @@ def test_parameter_domain(bad):
         make_y4_context(bad)
 
 
+@pytest.mark.parametrize("function", [y4_plus, y4_minus])
+@pytest.mark.parametrize("z", [1e300, complex(0.0, -1e300), complex(3.0, 1e17)])
+def test_far_argument_error_names_the_callers_z(function, z):
+    # y4 evaluates p at 2iz on the dd lattice; the message must not name 2iz
+    with pytest.raises(DomainError, match="2\\^53 or more half-periods out") as info:
+        function(z, make_y4_context(0.5))
+    assert str(info.value).startswith(f"argument {z} ")
+
+
 class TestY4Values:
     def test_initial_value_exact(self, ctx):
         assert y4_plus(0.0, ctx) == complex(ctx.mu_plus)
