@@ -19,14 +19,14 @@ that order; a module first run mid-patch would otherwise bind some
 already-wrapped functions.
 """
 
-import sys
-from importlib.util import LazyLoader, find_spec, module_from_spec
+import importlib.util as _util
+import sys as _sys
 
 
 def _register_lazily(name: str):
-    spec = find_spec(f"{__name__}.{name}")
-    spec.loader = LazyLoader(spec.loader)
-    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec = _util.find_spec(f"{__name__}.{name}")
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _sys.modules[spec.name] = _util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
@@ -104,3 +104,5 @@ def __dir__():
 
 
 __version__ = "0.1.0"
+# a star import takes the public globals and the deferred suite names
+__all__ = [n for n in globals() if not n.startswith("_")] + list(_SUITE_NAMES)

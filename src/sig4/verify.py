@@ -158,28 +158,22 @@ def _draw(rng: Lcg64, pp: PeriodPair, avoid: tuple[complex, ...] = ()) -> comple
 # the half-periods by trigonometric quadrature, independent of the lattice
 
 
-def _half_period_integral(cos_a: float, sin_a: float, tol: float, split: bool = False) -> float:
+def _half_period_integral(cos_a: float, sin_a: float, tol: float) -> float:
     """int_0^a cos(t/2)/sqrt(cos 2t - cos 2a) dt, given cos a and sin a exactly.
 
     Under sin t = sin a cos theta the inverse square root cancels and the
     integral becomes (1/sqrt2) int_0^(pi/2) sqrt((1 + c)/2)/c dtheta with
     c = cos t = hypot(cos a, sin a sin theta): the forward integral's
-    integrand in Legendre's variable, whose near-singularity of width
-    cos a sits at theta = 0, where tanh-sinh nodes cluster.  Quadrature of
-    it is still numerically independent of R_F and the AGM.
-
-    The clustering resolves that peak at cos a = 1e-80 but no longer at
-    1e-100.  With ``split`` the range is cut at theta = cos a and the tail
-    integrated in s = ln theta, where the integrand times theta is smooth
-    and bounded; that holds to a few ulps down to cos a = 1e-300.
+    integrand in Legendre's variable, numerically independent of R_F and
+    the AGM.  Its near-singularity of width cos a sits at theta = 0, so the
+    range is cut at theta = cos a and the tail integrated in s = ln theta,
+    where the integrand times theta is smooth and bounded; that holds to a
+    few ulps from cos a = 1e-300 to 1.
     """
 
     def f(theta: float) -> float:
         c = math.hypot(cos_a, sin_a * math.sin(theta))
         return math.sqrt(0.5 * (1.0 + c)) / c
-
-    if not split:
-        return integrate(f, Interval(0.0, 0.5 * math.pi), tol) / math.sqrt(2.0)
 
     def tail(s: float) -> float:
         theta = math.exp(s)
@@ -197,8 +191,7 @@ def omega_three_ways(mod: Modulus, tol: float = 1e-12) -> tuple[float, float, fl
     via_integral: the forward integral at pi/2, by Carlson's R_F
     via_trig:     sqrt(2) int_0^alpha cos(t/2)/sqrt(cos 2t - cos 2 alpha) dt,
                   alpha = arcsin(kappa), by tanh-sinh quadrature to ``tol``
-                  of the substituted integrand (cos alpha, sin alpha = lam, kappa),
-                  unsplit: lam >= 1.4e-8 for every float kappa < 1
+                  of the substituted integrand (cos alpha, sin alpha = lam, kappa)
     """
     closed = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
     via_integral = forward_integral(0.5 * math.pi, mod)
@@ -215,7 +208,7 @@ def omega_prime(mod: Modulus, tol: float = 1e-12) -> float:
     (pi/sqrt2) complete_f(lam, kappa), and the lattice route,
     ``make_context(kappa).lattice.periods``, gives the same number.
     """
-    return 2.0 * _half_period_integral(mod.kappa, mod.lam, tol, split=True)
+    return 2.0 * _half_period_integral(mod.kappa, mod.lam, tol)
 
 
 # ----------------------------------------------------------------------

@@ -147,3 +147,11 @@ print(json.dumps(out))
     assert result["same"] == {name: True for names in _SUITE_EXPORTS.values() for name in names}
     assert result["after_names"] == ["verify", "hypergeometric"]
     assert result["import_forms"] is True
+
+
+def test_star_import_takes_the_suite_names_and_no_loader_helpers():
+    namespace = {}
+    exec("from sig4 import *", namespace)
+    for names in _SUITE_EXPORTS.values():
+        assert all(namespace[name] is getattr(sig4, name) for name in names)
+    assert not namespace.keys() & {"sys", "LazyLoader", "find_spec", "module_from_spec"}
