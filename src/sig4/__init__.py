@@ -5,8 +5,9 @@ The two function families built on the hypergeometric parameters
 y4_plus / y4_minus, together with the Weierstrass machinery relating
 them, a general quartic initial-value solver, and a verification engine
 that turns each defining identity into a checked residual.  The value
-records (``Invariants``, ``Lattice``, the contexts, the report rows, ...)
-are NamedTuples: immutable, compared and hashed by value, and tuples.
+records (``Invariants``, ``Lattice``, ``DDContext``, the one context of a
+modulus pair that dd and y4 both read, the report rows, ...) are
+NamedTuples: immutable, compared and hashed by value, and tuples.
 
 The identity suite (``sig4.verify`` and the series reference
 ``sig4.hypergeometric``) loads on first use: ``import sig4`` registers
@@ -67,9 +68,9 @@ from .dd import (
     phi_many,
 )
 from .y4 import (
-    Y4Context,
     make_y4_context,
     y4_minus,
+    y4_periods,
     y4_plus,
     y4_zero_ivp_solution,
     y4_zeros_poles,

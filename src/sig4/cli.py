@@ -11,7 +11,7 @@ p(2iz); ``periods`` and ``invariants`` give the y4 values by the quarter
 turn: Omega = |omega'|/2, |Omega'| = omega/2, (G2, G3) = (16 g2, -64 g3)
 and E_j = -4 e_(4-j).  ``--kappa`` is the dd modulus everywhere, so a
 ``worst_z`` of a y4 row reproduces through ``eval``; ``--lambda`` gives
-y4plus and y4minus a bare lam.
+y4plus and y4minus a bare lam instead, and the two exclude each other.
 
 Exit codes: 0 success, 1 numerical or verification failure, 2 usage
 error; a literal or grid point that overflows a float is a usage error.
@@ -25,7 +25,6 @@ never execute it.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import os
 import re
@@ -36,7 +35,7 @@ import click
 from .dd import dd, make_context, phi
 from .numerics import DomainError, PoleError
 from .weierstrass import Invariants, wp
-from .y4 import make_y4_context, y4_minus, y4_plus
+from .y4 import make_y4_context, y4_minus, y4_periods, y4_plus
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
@@ -112,7 +111,9 @@ def _evaluate(function: str, z: complex, kappa, lam, g2, g3):
             return dd(z, make_context(kappa))
         if function in ("y4plus", "y4minus"):
             _require(lam is not None or kappa is not None, f"{function} requires --kappa or --lambda")
-            ctx = make_y4_context(lam if lam is not None else make_context(kappa).modulus)
+            _require(lam is None or kappa is None,
+                     f"{function} takes --kappa or --lambda, not both")
+            ctx = make_context(kappa) if lam is None else make_y4_context(lam)
             return y4_plus(z, ctx) if function == "y4plus" else y4_minus(z, ctx)
         if function == "wp":
             _require(g2 is not None and g3 is not None, "wp requires --g2 and --g3")
@@ -136,7 +137,7 @@ def main() -> None:
 @click.option("--kappa", type=_UNIT_OPEN, default=None,
               help="dd modulus in (0,1); y4plus/y4minus use its complement as lam")
 @click.option("--lambda", "lam", type=_UNIT_OPEN, default=None,
-              help="bare quartic parameter lam in (0,1) for y4plus/y4minus")
+              help="bare quartic parameter lam in (0,1) for y4plus/y4minus, instead of --kappa")
 @click.option("--g2", type=float, default=None, help="invariant g2 (wp only)")
 @click.option("--g3", type=float, default=None, help="invariant g3 (wp only)")
 def cmd_eval(function, z_text, kappa, lam, g2, g3):
@@ -162,11 +163,10 @@ def periods(kappa, as_csv):
     """Half-periods of dd and of y4 at a modulus, plus both period ratios."""
     try:
         ctx = make_context(kappa)
-        yctx = make_y4_context(ctx.modulus)
     except DomainError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    pp, ypp = ctx.lattice.periods, yctx.periods
+    pp, ypp = ctx.lattice.periods, y4_periods(ctx)
     rows = [
         ("omega", fmt_real(pp.half_real)),
         ("omega_prime_mag", fmt_real(pp.half_imag_mag)),
@@ -249,6 +249,8 @@ def table(function, kappa, lam, g2, g3, start, stop, steps, imag):
               help="write the JSON report to a file instead of stdout")
 def verify(kappa, n, seed, tol, out):
     """Run the identity suite; exit 0 only if every check passes."""
+    import json
+
     from .verify import run_suite
 
     if tol is None:

@@ -50,30 +50,34 @@ def make_modulus(kappa: float) -> Modulus:
 
 
 class DDContext(NamedTuple):
-    """Everything needed to evaluate dd at one modulus."""
+    """The one context of a modulus pair: dd reads its lattice at z, y4 at 2iz."""
 
     modulus: Modulus
     lattice: Lattice
+    mu_plus: float
+    mu_minus: float
 
 
-def dd_lattice(kappa: float, lam: float) -> Lattice:
-    """The p-lattice of the pair (kappa, lam), from the closed-form roots.
+def pair_context(mod: Modulus) -> DDContext:
+    """The context of the pair (kappa, lam), unchecked: the p-lattice from its closed-form roots.
 
     e = ((1 + 3 lam)/6, (1 - 3 lam)/6, -1/3), so e1 - e2 = lam,
-    e1 - e3 = (1 + lam)/2 and e2 - e3 = kappa^2/(2 (1 + lam)).
+    e1 - e3 = (1 + lam)/2 and e2 - e3 = kappa^2/(2 (1 + lam)); and the y4
+    quartic's zeros mu_plus = sqrt((1 + kappa)/2), mu_minus = lam/(2 mu_plus).
     """
+    kappa, lam = mod
     lam2 = lam * lam
     inv = Invariants((3.0 * lam2 + 1.0) / 3.0, (9.0 * lam2 - 1.0) / 27.0)
     roots = MidpointTriple((1.0 + 3.0 * lam) / 6.0, (1.0 - 3.0 * lam) / 6.0, -1.0 / 3.0)
-    gaps = (lam, 0.5 * (1.0 + lam), kappa * kappa / (2.0 * (1.0 + lam)))
-    return build_lattice(inv, roots, *gaps)
+    lat = build_lattice(inv, roots, lam, 0.5 * (1.0 + lam), kappa * kappa / (2.0 * (1.0 + lam)))
+    mu = math.sqrt(0.5 * (1.0 + kappa))
+    return DDContext(mod, lat, mu, lam / (2.0 * mu))
 
 
 @lru_cache(maxsize=128)
 def make_context(kappa: float) -> DDContext:
-    """Modulus and p-lattice (``dd_lattice``) for ``kappa``."""
-    mod = make_modulus(kappa)
-    return DDContext(mod, dd_lattice(*mod))
+    """The context (``pair_context``) of the dd modulus ``kappa``."""
+    return pair_context(make_modulus(kappa))
 
 
 def forward_integral(T: float, mod: Modulus) -> float:
@@ -113,7 +117,7 @@ def _phi(u: float, ctx: DDContext) -> float:
     """
     if not math.isfinite(u):
         raise DomainError(f"phi needs a finite argument, got {u}")
-    mod, lat = ctx
+    mod, lat = ctx.modulus, ctx.lattice
     lam = mod.lam
     two_omega = 2.0 * lat.periods.half_real
     rem = math.remainder(u, two_omega)  # exact, in [-omega, omega]

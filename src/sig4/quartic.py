@@ -17,6 +17,7 @@ supported; the formulas degrade gracefully.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 from .numerics import DomainError, UnsupportedLatticeError
@@ -85,8 +86,10 @@ def taylor_shift(q: QuarticCoefficients, w0: float) -> QuarticCoefficients:
     """f recentered at a simple root w0: ``recentered(q, w0)``, checked.
 
     Its a4 = f(w0) must vanish and its 4 a3 = f'(w0) must not, each against
-    the size of the terms of f(w0); raises DomainError otherwise.
+    the size of the terms of f(w0); raises DomainError otherwise or for a non-finite w0.
     """
+    if not math.isfinite(w0):
+        raise DomainError(f"w0={w0} is not finite")
     scale = q._scale(w0)
     shifted = recentered(q, w0)
     if abs(shifted.a4) > _ROOT_RTOL * scale:

@@ -51,9 +51,9 @@ from .weierstrass import (
     wp_prime,
 )
 from .y4 import (
-    Y4Context,
     make_y4_context,
     y4_minus,
+    y4_periods,
     y4_plus,
     y4_zero_ivp_solution,
     y4_zeros_poles,
@@ -215,7 +215,7 @@ def omega_prime(mod: Modulus, tol: float = 1e-12) -> float:
 # the y4 lattice in its own frame, a second route to what y4 reads
 
 
-def y4_lattice(yctx: Y4Context) -> Lattice:
+def y4_lattice(ctx: DDContext) -> Lattice:
     """The p-lattice of the Chebyshev quartic, from its own closed forms.
 
     G2 = (16/3)(1 + 3 lam^2), G3 = (64/27)(1 - 9 lam^2) and
@@ -223,7 +223,7 @@ def y4_lattice(yctx: Y4Context) -> Lattice:
     E1 - E3 = 2 (1 + lam) and E2 - E3 = 4 lam.  Production never builds
     it: y4 reads P(z) = -4 p(2iz) off the dd lattice.
     """
-    kappa, lam = yctx.kappa, yctx.lam
+    kappa, lam = ctx.modulus
     lam2 = lam * lam
     inv = Invariants(16.0 / 3.0 * (1.0 + 3.0 * lam2), 64.0 / 27.0 * (1.0 - 9.0 * lam2))
     roots = MidpointTriple(4.0 / 3.0, 2.0 * lam - 2.0 / 3.0, -2.0 / 3.0 - 2.0 * lam)
@@ -238,7 +238,7 @@ def y4_lattice(yctx: Y4Context) -> Lattice:
 def check_pP(z: complex, kappa: float) -> float:
     """|P(z) + 4 p(2iz)|: the quarter-turn relation between the lattices."""
     ctx = make_context(kappa)
-    return _pP(ctx, y4_lattice(make_y4_context(ctx.modulus)), z)
+    return _pP(ctx, y4_lattice(ctx), z)
 
 
 def _pP(ctx: DDContext, ylat: Lattice, z: complex) -> float:
@@ -249,12 +249,11 @@ def check_ddy4(z: complex, kappa: float) -> float:
     """Residual of dd(2iz) = 1 + kappa (y4p(z) - mu)/(y4p(z) + mu), multiplied out:
     |(dd(2iz) - 1)(y + mu) - kappa (y - mu)|/(|y| + mu), y = y4_plus(z) in its own frame."""
     ctx = make_context(kappa)
-    yctx = make_y4_context(ctx.modulus)
-    return _ddy4(ctx, yctx, y4_lattice(yctx), z)
+    return _ddy4(ctx, y4_lattice(ctx), z)
 
 
-def _ddy4(ctx: DDContext, yctx: Y4Context, ylat: Lattice, z: complex) -> float:
-    kappa, mu = yctx.kappa, yctx.mu_plus
+def _ddy4(ctx: DDContext, ylat: Lattice, z: complex) -> float:
+    kappa, mu = ctx.modulus.kappa, ctx.mu_plus
     y = mobius(z, ylat, 1, 2.0 * kappa, mu, 4.0 * kappa * mu)   # y4_plus in the y4 frame
     return abs((dd(2j * z, ctx) - 1.0) * (y + mu) - kappa * (y - mu)) / (abs(y) + mu)
 
@@ -263,8 +262,8 @@ def check_ooOO(kappa: float) -> tuple[float, float]:
     """Period transfer residuals |Omega - (pi/(2 sqrt2)) F(lam^2)| and
     ||Omega'| - (pi/4) F(kappa^2)|: the y4 half-periods that y4 reads off
     the dd lattice against the AGM closed forms of |omega'|/2 and omega/2."""
-    mod = make_context(kappa).modulus
-    ypp = make_y4_context(mod).periods
+    ctx = make_context(kappa)
+    mod, ypp = ctx.modulus, y4_periods(ctx)
     res1 = abs(ypp.half_real - math.pi / (2.0 * math.sqrt(2.0)) * complete_f(mod.lam, mod.kappa))
     res2 = abs(ypp.half_imag_mag - 0.25 * math.pi * complete_f(mod.kappa, mod.lam))
     return res1, res2
@@ -278,9 +277,9 @@ def check_final_remark(z: complex, kappa: float) -> float:
     initial condition dd(0) = 1.
     """
     ctx = make_context(kappa)
-    yctx = make_y4_context(kappa)
-    zero, _ = y4_zeros_poles(yctx)
-    w = y4_plus(z / math.sqrt(8.0) + zero, yctx)
+    swapped = make_y4_context(kappa)   # the pair (lam, kappa)
+    zero, _ = y4_zeros_poles(swapped)
+    w = y4_plus(z / math.sqrt(8.0) + zero, swapped)
     return abs(dd(z, ctx) - (1.0 - 2.0 * w * w))
 
 
@@ -297,8 +296,8 @@ class SuiteInputs:
     A plain class, unlike the NamedTuple value records: ``cached_property`` needs a ``__dict__``.
     """
 
-    def __init__(self, ctx: DDContext, yctx: Y4Context, ylat: Lattice, n: int, rng: Lcg64):
-        self.ctx, self.yctx, self.ylat, self.n, self.rng = ctx, yctx, ylat, n, rng
+    def __init__(self, ctx: DDContext, ylat: Lattice, n: int, rng: Lcg64):
+        self.ctx, self.ylat, self.n, self.rng = ctx, ylat, n, rng
 
     @cached_property
     def omegas(self) -> tuple[float, float, float]:
@@ -396,37 +395,35 @@ def _run_omega_prime_routes(s: SuiteInputs):
     return 1, max(abs(quad - closed), abs(quad - lattice)), None
 
 
-def _y4_ode_residual(y: complex, z: complex, yctx: Y4Context, ylat: Lattice) -> float:
+def _y4_ode_residual(y: complex, z: complex, ctx: DDContext, ylat: Lattice) -> float:
     """Relative residual of (y')^2 = 8y^4 - 8y^2 + 2 lam^2, for y = y4_plus(z).
 
     y' comes from the chain rule through P' on the y4 lattice ``ylat``:
     y = mu (1 + 4 kappa/(P - c)) gives y' = -4 kappa mu P'/(P - c)^2, and
     with P - c = 4 kappa mu/(y - mu) that is y' = -P' (y - mu)^2 / (4 kappa mu).
     """
-    mu = yctx.mu_plus
-    deriv = -wp_prime(z, ylat) * (y - mu) ** 2 / (4.0 * yctx.kappa * mu)
+    (kappa, lam), mu = ctx.modulus, ctx.mu_plus
+    deriv = -wp_prime(z, ylat) * (y - mu) ** 2 / (4.0 * kappa * mu)
     y2 = y * y
-    rhs = 8.0 * y2 * y2 - 8.0 * y2 + 2.0 * yctx.lam ** 2
+    rhs = 8.0 * y2 * y2 - 8.0 * y2 + 2.0 * lam ** 2
     return abs(deriv * deriv - rhs) / (1.0 + abs(y) ** 4)
 
 
 def _run_y4_ode(s: SuiteInputs):
     """(y')^2 = 8y^4 - 8y^2 + 2 lam^2 for y4_plus, y' through p'."""
-    yctx = s.yctx
-    pp = yctx.periods
+    ctx, pp = s.ctx, y4_periods(s.ctx)
     half = 0.5 * pp.half_real
     poles = (complex(half, 0.0), complex(-half, 0.0))
 
     def residual(z: complex) -> float:
-        return _y4_ode_residual(y4_plus(z, yctx), z, yctx, s.ylat)
+        return _y4_ode_residual(y4_plus(z, ctx), z, ctx, s.ylat)
 
     return _sampled_max(s.n, s.rng, pp, poles, residual)
 
 
 def _run_y4_shifts(s: SuiteInputs):
     """Half-period shifts: +Omega negates, +Omega' swaps to the mu_minus branch."""
-    yctx = s.yctx
-    pp = yctx.periods
+    ctx, pp = s.ctx, y4_periods(s.ctx)
     hr, hi = pp.half_real, pp.half_imag_mag
     half = 0.5 * hr
     avoid = tuple(
@@ -436,11 +433,11 @@ def _run_y4_shifts(s: SuiteInputs):
     )
 
     def residual(z: complex) -> float:
-        base_p = y4_plus(z, yctx)
-        base_m = y4_minus(z, yctx)
-        r1 = abs(y4_plus(z + hr, yctx) + base_p)
-        r2 = abs(y4_plus(z + complex(0.0, hi), yctx) - base_m)
-        r3 = abs(y4_plus(z + complex(hr, hi), yctx) + base_m)
+        base_p = y4_plus(z, ctx)
+        base_m = y4_minus(z, ctx)
+        r1 = abs(y4_plus(z + hr, ctx) + base_p)
+        r2 = abs(y4_plus(z + complex(0.0, hi), ctx) - base_m)
+        r3 = abs(y4_plus(z + complex(hr, hi), ctx) + base_m)
         return max(r1, r2, r3)
 
     return _sampled_max(s.n, s.rng, pp, avoid, residual)
@@ -448,19 +445,18 @@ def _run_y4_shifts(s: SuiteInputs):
 
 def _run_y4_zero_pole(s: SuiteInputs):
     """Zero at half_real/2 + imaginary half-period; pole value of P at half_real/2."""
-    yctx = s.yctx
-    zero, pole = y4_zeros_poles(yctx)
-    r_zero = abs(y4_plus(zero, yctx))
-    pole_value = 4.0 / 3.0 + 2.0 * yctx.kappa
+    ctx = s.ctx
+    zero, pole = y4_zeros_poles(ctx)
+    r_zero = abs(y4_plus(zero, ctx))
+    pole_value = 4.0 / 3.0 + 2.0 * ctx.modulus.kappa
     r_pole = abs(wp(pole, s.ylat) - pole_value)
     return 2, max(r_zero, r_pole), None
 
 
 def _run_y4_zero_start(s: SuiteInputs):
     """The zero-shifted translate solves the quartic equation with y(0) = 0."""
-    yctx = s.yctx
-    pp = yctx.periods
-    zero, _ = y4_zeros_poles(yctx)
+    ctx, pp = s.ctx, y4_periods(s.ctx)
+    zero, _ = y4_zeros_poles(ctx)
     # pole images of the translate in the sampled cell, in the shifted coordinate
     avoid = tuple(
         complex(sr * pp.half_real, si * pp.half_imag_mag)
@@ -469,23 +465,23 @@ def _run_y4_zero_start(s: SuiteInputs):
     )
 
     def residual(z: complex) -> float:
-        return _y4_ode_residual(y4_zero_ivp_solution(z, yctx), z + zero, yctx, s.ylat)
+        return _y4_ode_residual(y4_zero_ivp_solution(z, ctx), z + zero, ctx, s.ylat)
 
     samples, worst, worst_z = _sampled_max(s.n, s.rng, pp, avoid, residual)
-    return (samples + 1, *_worse(worst, worst_z, abs(y4_zero_ivp_solution(0.0, yctx)), 0j))
+    return (samples + 1, *_worse(worst, worst_z, abs(y4_zero_ivp_solution(0.0, ctx)), 0j))
 
 
 def _run_wp_quarter_turn(s: SuiteInputs):
     """P(z) = -4 p(2iz), P on the y4 lattice, plus the exact invariant scaling (2i)^4, (2i)^6."""
     inv, yinv = s.ctx.lattice.invariants, s.ylat.invariants
     scale_res = max(abs(16.0 * inv.g2 - yinv.g2), abs(-64.0 * inv.g3 - yinv.g3))
-    sampled = _sampled_max(s.n, s.rng, s.yctx.periods, (), partial(_pP, s.ctx, s.ylat))
+    sampled = _sampled_max(s.n, s.rng, y4_periods(s.ctx), (), partial(_pP, s.ctx, s.ylat))
     return _with_unplaced(sampled, scale_res)
 
 
 def _run_dd_y4_bridge(s: SuiteInputs):
     """dd(2iz) = 1 + kappa (y4p - mu)/(y4p + mu), multiplied out, y4p in its own frame."""
-    pp = s.yctx.periods
+    pp = y4_periods(s.ctx)
     half = 0.5 * pp.half_real
     avoid = (
         complex(half, 0.0),
@@ -493,7 +489,7 @@ def _run_dd_y4_bridge(s: SuiteInputs):
         complex(pp.half_real, 0.0),
         complex(-pp.half_real, 0.0),
     )
-    return _sampled_max(s.n, s.rng, pp, avoid, partial(_ddy4, s.ctx, s.yctx, s.ylat))
+    return _sampled_max(s.n, s.rng, pp, avoid, partial(_ddy4, s.ctx, s.ylat))
 
 
 def _run_period_transfer(s: SuiteInputs):
@@ -530,17 +526,17 @@ def _run_quartic_ivp_dd(s: SuiteInputs):
 
 def _run_quartic_ivp_y4(s: SuiteInputs):
     """General quartic solver applied to the Chebyshev equation reproduces y4_plus."""
-    yctx = s.yctx
-    q = y4_equation_quartic(yctx.lam)
-    solution, inv = solve_quartic_ivp(q, yctx.mu_plus)
+    ctx = s.ctx
+    q = y4_equation_quartic(ctx.modulus.lam)
+    solution, inv = solve_quartic_ivp(q, ctx.mu_plus)
     ref = s.ylat.invariants
     inv_res = max(abs(inv.g2 - ref.g2), abs(inv.g3 - ref.g3))
-    pp = yctx.periods
+    pp = y4_periods(ctx)
     half = 0.5 * pp.half_real
     poles = (complex(half, 0.0), complex(-half, 0.0))
 
     def residual(z: complex) -> float:
-        return abs(solution(z) - y4_plus(z, yctx))
+        return abs(solution(z) - y4_plus(z, ctx))
 
     return _with_unplaced(_sampled_max(min(s.n, 50), s.rng, pp, poles, residual), inv_res)
 
@@ -587,12 +583,11 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
     except Exception as exc:
         raise RuntimeError(f"context construction failed at stage 'dd': {exc}") from exc
     try:
-        yctx = make_y4_context(ctx.modulus)
-        ylat = y4_lattice(yctx)
+        ylat = y4_lattice(ctx)
     except Exception as exc:
         raise RuntimeError(f"context construction failed at stage 'y4': {exc}") from exc
 
-    suite = SuiteInputs(ctx, yctx, ylat, n_samples, Lcg64(seed))
+    suite = SuiteInputs(ctx, ylat, n_samples, Lcg64(seed))
     checks = []
     for name, runner in REGISTRY:
         began = time.perf_counter()

@@ -15,80 +15,68 @@ So the solution mu_plus (1 + 4 kappa/((P - E1) - 2 kappa)) starting at
 mu_plus is mu_plus - kappa mu_plus/((p(2iz) - e3) + kappa/2), relatively
 accurate however small kappa is; the mu_minus solution negates kappa and
 reads p - e2.  The half-period shift laws relating the four solutions are
-checkable facts rather than definitions.
+checkable facts rather than definitions.  Nor has y4 a context of its
+own: it reads the ``DDContext`` of the pair, from ``make_context(kappa)``
+or, for a bare lam, ``make_y4_context(lam)``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
-from .dd import Modulus, dd_lattice, make_context
+from .dd import DDContext, Modulus, pair_context
 from .numerics import DomainError
-from .weierstrass import Lattice, PeriodPair, _far_argument, mobius
-
-
-class Y4Context(NamedTuple):
-    """Parameter bundle for one lam: quartic roots, the dd lattice y4 reads, y4's half-periods."""
-
-    lam: float
-    kappa: float
-    mu_plus: float
-    mu_minus: float
-    dd_lattice: Lattice
-    periods: PeriodPair
+from .weierstrass import PeriodPair, _far_argument, mobius
 
 
 @lru_cache(maxsize=128)
-def make_y4_context(param: Modulus | float) -> Y4Context:
-    """Quartic roots and dd lattice: that of ``make_context(kappa)`` for the dd modulus pair,
-    or the dd lattice of (sqrt((1 - lam)(1 + lam)), lam) for a bare lam in (0, 1)."""
-    if isinstance(param, Modulus):
-        (kappa, lam), lat = param, make_context(param.kappa).lattice
-    elif 0.0 < param < 1.0:
-        kappa, lam = math.sqrt((1.0 - param) * (1.0 + param)), param
-        lat = dd_lattice(kappa, lam)
-    else:
-        raise DomainError(f"parameter must lie in (0, 1), got {param}")
-    mu = math.sqrt(0.5 * (1.0 + kappa))
-    hr, hi = lat.periods
-    return Y4Context(lam, kappa, mu, lam / (2.0 * mu), lat, PeriodPair(0.5 * hi, 0.5 * hr))
+def make_y4_context(lam: float) -> DDContext:
+    """The context of the pair (sqrt((1 - lam)(1 + lam)), lam) for a bare lam in (0, 1)."""
+    if not (0.0 < lam < 1.0):
+        raise DomainError(f"parameter must lie in (0, 1), got {lam}")
+    return pair_context(Modulus(math.sqrt((1.0 - lam) * (1.0 + lam)), lam))
 
 
-def y4_plus(z: complex, ctx: Y4Context) -> complex:
+def y4_periods(ctx: DDContext) -> PeriodPair:
+    """y4's half-periods (Omega, |Omega'|) = (|omega'|/2, omega/2), the dd ones turned."""
+    hr, hi = ctx.lattice.periods
+    return PeriodPair(0.5 * hi, 0.5 * hr)
+
+
+def y4_plus(z: complex, ctx: DDContext) -> complex:
     """The solution with value mu_plus at 0; poles congruent to +-Omega/2."""
-    kappa, mu = ctx.kappa, ctx.mu_plus
+    kappa, mu = ctx.modulus.kappa, ctx.mu_plus
     try:
-        return mobius(2j * z, ctx.dd_lattice, 3, -0.5 * kappa, mu, -kappa * mu)
+        return mobius(2j * z, ctx.lattice, 3, -0.5 * kappa, mu, -kappa * mu)
     except DomainError:   # raised for 2iz; name the caller's z
         raise _far_argument(z) from None
 
 
-def y4_minus(z: complex, ctx: Y4Context) -> complex:
+def y4_minus(z: complex, ctx: DDContext) -> complex:
     """The solution with value mu_minus at 0: y4_plus with kappa negated.
 
     Its pole p = e3 + kappa/2 nears e2 as kappa -> 1, so it reads p - e2:
     (p - e3) - kappa/2 = (p - e2) - kappa (1 - kappa + lam)/(2 (1 + lam)).
     """
-    k, lam, mu = ctx.kappa, ctx.lam, ctx.mu_minus
+    (k, lam), mu = ctx.modulus, ctx.mu_minus
     try:
-        return mobius(2j * z, ctx.dd_lattice, 2, 0.5 * k * (1.0 - k + lam) / (1.0 + lam), mu, k * mu)
+        return mobius(2j * z, ctx.lattice, 2, 0.5 * k * (1.0 - k + lam) / (1.0 + lam), mu, k * mu)
     except DomainError:
         raise _far_argument(z) from None
 
 
-def y4_zeros_poles(ctx: Y4Context) -> tuple[complex, complex]:
+def y4_zeros_poles(ctx: DDContext) -> tuple[complex, complex]:
     """Representative zero and pole of y4_plus in the fundamental cell.
 
     The zero sits at Omega/2 + i|Omega'|, the pole at Omega/2; every
     zero/pole is congruent to plus-or-minus these.
     """
-    hr, hi = ctx.periods
-    return complex(0.5 * hr, hi), complex(0.5 * hr, 0.0)
+    hr, hi = ctx.lattice.periods   # Omega/2 = |omega'|/4, |Omega'| = omega/2, no PeriodPair
+    return complex(0.25 * hi, 0.5 * hr), complex(0.25 * hi, 0.0)
 
 
-def y4_zero_ivp_solution(z: complex, ctx: Y4Context) -> complex:
+def y4_zero_ivp_solution(z: complex, ctx: DDContext) -> complex:
     """The odd solution of the quartic equation with y(0) = 0.
 
     Realized as the translate of y4_plus by its zero; the second solution

@@ -110,9 +110,9 @@ def test_y4_worst_z_replays_through_eval():
     result = _invoke(["eval", "y4plus", "--kappa", "0.001", "--z", f"{z.real!r}{z.imag:+}i"])
     assert result.exit_code == 0, result.output
     value = parse_complex(result.output)
-    yctx = make_y4_context(make_context(1e-3).modulus)
-    assert value == y4_plus(z, yctx)
-    assert verify._y4_ode_residual(value, z, yctx, verify.y4_lattice(yctx)) == row.max_residual
+    ctx = make_context(1e-3)
+    assert value == y4_plus(z, ctx)
+    assert verify._y4_ode_residual(value, z, ctx, verify.y4_lattice(ctx)) == row.max_residual
 
 
 def test_eval_y4plus_with_a_bare_lambda():
@@ -120,6 +120,16 @@ def test_eval_y4plus_with_a_bare_lambda():
     result = _invoke(["eval", "y4plus", "--lambda", "0.6", "--z", "0.3+0.2i"])
     assert result.exit_code == 0, result.output
     assert parse_complex(result.output) == y4_plus(z, make_y4_context(0.6))
+
+
+@pytest.mark.parametrize("function", ["y4plus", "y4minus"])
+@pytest.mark.parametrize("command", [["eval", "--z", "0.3+0.2i"],
+                                     ["table", "--from", "0", "--to", "1", "--steps", "2"]])
+def test_kappa_and_lambda_together_are_a_usage_error(command, function):
+    # both name the pair (kappa, lam); kappa = 0.5 and lam = 0.6 name two pairs
+    result = _invoke([command[0], function, "--kappa", "0.5", "--lambda", "0.6", *command[1:]])
+    assert result.exit_code == 2, result.output
+    assert f"{function} takes --kappa or --lambda, not both" in result.output
 
 
 def test_periods_csv_agrees_with_the_plain_output():

@@ -1,5 +1,7 @@
 """The quartic's coefficients, its invariants under a Taylor shift, and the checked shift."""
 
+import math
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,10 @@ from sig4.quartic import (
     cubinvariant,
     quadrinvariant,
     recentered,
+    solve_quartic_ivp,
     taylor_shift,
 )
+from sig4.verify import y4_equation_quartic
 
 _EPS = 2.0 ** -52
 _SPACING = 2.0 ** -1074   # of the doubles below 2^-1022, where rounding is absolute
@@ -108,3 +112,14 @@ def test_taylor_shift_rejects_a_non_root_and_a_double_root():
     double = QuarticCoefficients.from_monomial(1.0, -3.0, -3.0, 11.0, -6.0)
     with pytest.raises(DomainError, match="root not simple"):
         taylor_shift(double, 1.0)
+
+
+@pytest.mark.parametrize("w0", [math.nan, math.inf, -math.inf])
+def test_taylor_shift_rejects_a_non_finite_start(w0):
+    # a NaN passes both root checks and an infinite start reads as a double
+    # root, so the start is checked first, and the solver inherits the check
+    q = y4_equation_quartic(0.6)
+    with pytest.raises(DomainError, match=f"w0={w0} is not finite"):
+        taylor_shift(q, w0)
+    with pytest.raises(DomainError, match=f"w0={w0} is not finite"):
+        solve_quartic_ivp(q, w0)

@@ -20,18 +20,15 @@ from sig4 import (
     PeriodPair,
     QuarticCoefficients,
     VerificationReport,
-    Y4Context,
     lattice,
     make_context,
-    make_y4_context,
 )
 from sig4.numerics import DomainError
 
 
 def _records():
-    """(type, field names in order, field values) for each of the eleven records."""
+    """(type, field names in order, field values) for each of the ten records."""
     ctx = make_context(0.5)
-    yctx = make_y4_context(ctx.modulus)
     check = IdentityCheck("y4-ode", 200, 1e-15, 1e-8, True, 0.25, 0.5 + 0.25j, None)
     return [
         (Interval, ("lo", "hi"), (0.0, 1.5)),
@@ -41,8 +38,7 @@ def _records():
         (Lattice, ("invariants", "roots", "periods", "rotated", "scale", "nome", "theta",
                    "table", "slopes"), tuple(ctx.lattice)),
         (Modulus, ("kappa", "lam"), tuple(ctx.modulus)),
-        (DDContext, ("modulus", "lattice"), (ctx.modulus, ctx.lattice)),
-        (Y4Context, ("lam", "kappa", "mu_plus", "mu_minus", "dd_lattice", "periods"), tuple(yctx)),
+        (DDContext, ("modulus", "lattice", "mu_plus", "mu_minus"), tuple(ctx)),
         (QuarticCoefficients, ("a0", "a1", "a2", "a3", "a4"), (1.0, 0.5, 0.25, 0.125, 2.0)),
         (IdentityCheck, ("name", "samples", "max_residual", "tolerance", "passed", "elapsed_ms",
                          "worst_z", "error"), tuple(check)),

@@ -67,14 +67,13 @@ def _perturbed(value):
 
 def test_period_transfer_and_bridge_can_fail(monkeypatch):
     # each row compares two routes, so an error in one of them shows
-    original_context, original_dd = verify.make_y4_context, verify.dd
+    original_periods, original_dd = verify.y4_periods, verify.dd
 
-    def skewed_context(param):
-        yctx = original_context(param)
-        return yctx._replace(periods=yctx.periods._replace(
-            half_real=_perturbed(yctx.periods.half_real)))
+    def skewed_periods(ctx):
+        pp = original_periods(ctx)
+        return pp._replace(half_real=_perturbed(pp.half_real))
 
-    monkeypatch.setattr(verify, "make_y4_context", skewed_context)
+    monkeypatch.setattr(verify, "y4_periods", skewed_periods)
     monkeypatch.setattr(verify, "dd", lambda z, ctx: _perturbed(original_dd(z, ctx)))
     rows = {c.name: c for c in run_suite(0.5, 20, 0, 1e-8).checks}
     assert not rows["period-transfer"].passed and rows["period-transfer"].max_residual > 1e-8

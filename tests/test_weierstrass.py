@@ -20,7 +20,7 @@ from sig4.weierstrass import (
     wp,
     wp_prime,
 )
-from sig4.y4 import make_y4_context, y4_minus, y4_plus
+from sig4.y4 import make_y4_context, y4_minus, y4_periods, y4_plus
 
 # invariants of the two lattices at kappa = 0.6 / lam = 0.8
 INV_DD = Invariants(0.9733333333333333, 0.17629629629629628)
@@ -223,8 +223,8 @@ def _lattice_and_roots(kind: str, kappa: float, exact: bool = False):
     merge.  60 digits keep 29 in the gap 1 - lam ~ 5e-31 at kappa = 1e-15.
     """
     ctx = make_context(kappa)
-    lat = ctx.lattice if kind == "dd" else y4_lattice(make_y4_context(
-        ctx.modulus if exact else ctx.modulus.lam))
+    lat = ctx.lattice if kind == "dd" else y4_lattice(
+        ctx if exact else make_y4_context(ctx.modulus.lam))
     with mpmath.workdps(60):
         lam = mpmath.sqrt(1 - mpmath.mpf(kappa) ** 2) if exact else mpmath.mpf(ctx.modulus.lam)
         third = mpmath.mpf(1) / 3
@@ -332,7 +332,7 @@ def test_p_minus_e1_at_the_y4_quarter_point():
 @pytest.mark.parametrize("kappa", EXACT_KAPPAS)
 def test_y4_over_the_cell_against_mpmath(kappa):
     # y4+- = mu+- (1 +- 4 kappa/((P - E1) -+ 2 kappa)) at the exact lam
-    yctx = make_y4_context(make_context(kappa).modulus)
+    ctx = make_context(kappa)
     lat, roots = _lattice_and_roots("y4", kappa, exact=True)
     hr, hi = lat.periods.half_real, lat.periods.half_imag_mag
     margin = 0.05 * min(hr, hi)
@@ -353,7 +353,7 @@ def test_y4_over_the_cell_against_mpmath(kappa):
         with mpmath.workdps(60):
             refs = (complex(mu_plus * (1 + 4 * k / (p1 - 2 * k))),
                     complex(mu_minus * (1 - 4 * k / (p1 + 2 * k))))
-        for value, ref in zip((y4_plus(z, yctx), y4_minus(z, yctx)), refs):
+        for value, ref in zip((y4_plus(z, ctx), y4_minus(z, ctx)), refs):
             assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), z
 
 
@@ -390,13 +390,12 @@ def test_invariants_reject_nonfinite():
 def _mobius_images():
     """(function, value at the lattice points, a pole) for every caller of ``mobius``."""
     ctx = make_context(0.5)
-    yctx = make_y4_context(ctx.modulus)
-    hr, hi = yctx.periods.half_real, yctx.periods.half_imag_mag
+    hr, hi = y4_periods(ctx)
     solution, inv = solve_quartic_ivp(dd_equation_quartic(ctx.modulus.lam), 1.0)
     return {
         "dd": (lambda z: dd(z, ctx), 1.0, complex(0.0, ctx.lattice.periods.half_imag_mag)),
-        "y4_plus": (lambda z: y4_plus(z, yctx), yctx.mu_plus, complex(0.5 * hr, 0.0)),
-        "y4_minus": (lambda z: y4_minus(z, yctx), yctx.mu_minus, complex(0.5 * hr, hi)),
+        "y4_plus": (lambda z: y4_plus(z, ctx), ctx.mu_plus, complex(0.5 * hr, 0.0)),
+        "y4_minus": (lambda z: y4_minus(z, ctx), ctx.mu_minus, complex(0.5 * hr, hi)),
         "quartic": (solution, 1.0, complex(0.0, lattice(inv).periods.half_imag_mag)),
     }
 
@@ -449,7 +448,7 @@ def test_value_alone_matches_value_with_derivative(kappa):
     # the one the four-theta path gives, bit for bit, in both frames, at
     # every anchor and for every root
     ctx = make_context(kappa)
-    lattices = (ctx.lattice, y4_lattice(make_y4_context(ctx.modulus)))
+    lattices = (ctx.lattice, y4_lattice(ctx))
     assert {lat.rotated for lat in lattices} == {False, True}
     for lat in lattices:
         hr, hi = lat.periods
