@@ -4,17 +4,19 @@ Subcommands: ``eval`` (single function value), ``periods`` (half-period
 table), ``invariants`` (invariant pairs and midpoint values), ``table``
 (CSV grid of function values), ``verify`` (identity suite, JSON report).
 
-Every value comes from the closed forms on the one dd lattice of a
-modulus: ``d`` is the real part of ``dd`` (the Weierstrass product form),
-``phi`` is read off p - e1 on the real axis and y4plus and y4minus off
-p(2iz); ``periods`` and ``invariants`` give the y4 values by the quarter
-turn: Omega = |omega'|/2, |Omega'| = omega/2, (G2, G3) = (16 g2, -64 g3)
-and E_j = -4 e_(4-j).  ``--kappa`` is the dd modulus everywhere, so a
+Every value but wp's comes from the closed forms on the one context of
+a modulus pair: ``d`` is the real part of ``dd`` (the Weierstrass product
+form), ``phi`` is read off p - e1 on the real axis and y4plus and y4minus
+off p(2iz); ``periods`` and ``invariants`` give the y4 values by the
+quarter turn: Omega = |omega'|/2, |Omega'| = omega/2, (G2, G3) =
+(16 g2, -64 g3) and E_j = -4 e_(4-j).  Each function takes only its own
+options (``_OPTIONS``).  ``--kappa`` is the dd modulus everywhere, so a
 ``worst_z`` of a y4 row reproduces through ``eval``; ``--lambda`` gives
 y4plus and y4minus a bare lam instead, and the two exclude each other.
 
 Exit codes: 0 success, 1 numerical or verification failure, 2 usage
-error; a literal or grid point that overflows a float is a usage error.
+error; a literal or grid point that overflows a float, an option the
+function does not take and a tolerance outside (0, inf) are usage errors.
 The environment variable SIG4_TOL overrides the default verification
 tolerance.  ``verify`` prints its report even when some identities failed
 or raised; it exits 1 then.  Only ``verify`` loads the identity suite
@@ -32,7 +34,7 @@ import sys
 
 import click
 
-from .dd import dd, make_context, phi
+from .dd import d_real, dd, make_context, phi
 from .numerics import DomainError, PoleError
 from .weierstrass import Invariants, wp
 from .y4 import make_y4_context, y4_minus, y4_periods, y4_plus
@@ -79,7 +81,10 @@ def fmt_complex(z: complex) -> str:
 
 _UNIT_OPEN = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 
-_EVAL_FUNCTIONS = ("dd", "y4plus", "y4minus", "wp", "phi", "d")
+#: function -> ("and" to need all or "or" exactly one of its options, the options)
+_OPTIONS = {"dd": ("and", "--kappa"), "y4plus": ("or", "--kappa", "--lambda"),
+            "y4minus": ("or", "--kappa", "--lambda"), "wp": ("and", "--g2", "--g3"),
+            "phi": ("and", "--kappa"), "d": ("and", "--kappa")}
 
 
 def _default_tol() -> float:
@@ -97,31 +102,32 @@ def _require(condition: bool, message: str) -> None:
         raise click.UsageError(message)
 
 
-def _require_real_line(function: str, imag: float, kappa) -> None:
-    """phi and d act on the real line and need a modulus."""
-    _require(kappa is not None, f"{function} requires --kappa")
-    _require(imag == 0.0, f"{function} takes a real argument; got imaginary part")
+def _check_options(function: str, kappa, lam, g2, g3) -> None:
+    """Usage error unless the options given are those ``function`` takes in ``_OPTIONS``."""
+    combine, *takes = _OPTIONS[function]
+    given = [k for k, v in zip(("--kappa", "--lambda", "--g2", "--g3"), (kappa, lam, g2, g3))
+             if v is not None]
+    extra = [name for name in given if name not in takes]
+    _require(not extra, f"{function} does not take {', '.join(extra)}")
+    needed = len(takes) if combine == "and" else 1
+    _require(len(given) >= needed, f"{function} requires {f' {combine} '.join(takes)}")
+    _require(len(given) <= needed, f"{function} takes {' or '.join(takes)}, not both")
 
 
 def _evaluate(function: str, z: complex, kappa, lam, g2, g3):
-    """Dispatch one evaluation; returns a float, complex, or the string 'pole'."""
+    """One evaluation, after ``_check_options``; returns a float, complex, or the string 'pole'."""
     try:
-        if function == "dd":
-            _require(kappa is not None, "dd requires --kappa")
-            return dd(z, make_context(kappa))
-        if function in ("y4plus", "y4minus"):
-            _require(lam is not None or kappa is not None, f"{function} requires --kappa or --lambda")
-            _require(lam is None or kappa is None,
-                     f"{function} takes --kappa or --lambda, not both")
-            ctx = make_context(kappa) if lam is None else make_y4_context(lam)
-            return y4_plus(z, ctx) if function == "y4plus" else y4_minus(z, ctx)
         if function == "wp":
-            _require(g2 is not None and g3 is not None, "wp requires --g2 and --g3")
             return wp(z, Invariants(g2, g3))
-        _require_real_line(function, z.imag, kappa)
+        ctx = make_context(kappa) if lam is None else make_y4_context(lam)
+        if function == "dd":
+            return dd(z, ctx)
+        if function in ("y4plus", "y4minus"):
+            return y4_plus(z, ctx) if function == "y4plus" else y4_minus(z, ctx)
+        _require(z.imag == 0.0, f"{function} takes a real argument; got imaginary part")
         if function == "phi":
-            return phi(z.real, make_context(kappa).modulus)
-        return dd(z.real, make_context(kappa)).real
+            return phi(z.real, ctx)
+        return d_real(z.real, ctx)
     except PoleError:
         return "pole"
 
@@ -132,7 +138,7 @@ def main() -> None:
 
 
 @main.command("eval")
-@click.argument("function", type=click.Choice(_EVAL_FUNCTIONS))
+@click.argument("function", type=click.Choice(list(_OPTIONS)))
 @click.option("--z", "z_text", required=True, help="complex argument, 'a+bi'")
 @click.option("--kappa", type=_UNIT_OPEN, default=None,
               help="dd modulus in (0,1); y4plus/y4minus use its complement as lam")
@@ -143,6 +149,7 @@ def main() -> None:
 def cmd_eval(function, z_text, kappa, lam, g2, g3):
     """Evaluate FUNCTION at one point and print the value."""
     z = parse_complex(z_text)
+    _check_options(function, kappa, lam, g2, g3)
     try:
         value = _evaluate(function, z, kappa, lam, g2, g3)
     except DomainError as exc:
@@ -205,7 +212,7 @@ def invariants(kappa):
 
 
 @main.command()
-@click.argument("function", type=click.Choice(_EVAL_FUNCTIONS))
+@click.argument("function", type=click.Choice(list(_OPTIONS)))
 @click.option("--kappa", type=_UNIT_OPEN, default=None)
 @click.option("--lambda", "lam", type=_UNIT_OPEN, default=None)
 @click.option("--g2", type=float, default=None)
@@ -219,6 +226,7 @@ def table(function, kappa, lam, g2, g3, start, stop, steps, imag):
     """CSV table of FUNCTION over a grid: re(z), im(z), re(f), im(f)."""
     import csv as _csv
 
+    _check_options(function, kappa, lam, g2, g3)
     xs = [start + (stop - start) * k / steps for k in range(steps + 1)]
     _require(all(map(math.isfinite, xs)) and math.isfinite(imag),
              "--from, --to and --imag must give finite grid points")
@@ -255,8 +263,7 @@ def verify(kappa, n, seed, tol, out):
 
     if tol is None:
         tol = _default_tol()
-    if tol <= 0.0:
-        raise click.UsageError("tolerance must be positive")
+    _require(0.0 < tol < math.inf, f"tolerance must be positive and finite, got {tol!r}")
     try:
         report = run_suite(kappa, n, seed, tol)
     except (DomainError, RuntimeError) as exc:

@@ -23,6 +23,8 @@ R_F, with no quadrature and no Newton loop:
 * ``phi`` inverts it through p - e1 on the lattice:
   tan^2 phi = ((1 + lam)/2)(1 + d)/((p - e1)(d + lam)).
 
+Each takes the pair's ``DDContext`` (``make_context(kappa)`` or
+``y4.make_y4_context(lam)``) and reads kappa, lam and the lattice off it.
 The independent routes to the half-periods live in the identity suite.
 """
 
@@ -80,8 +82,8 @@ def make_context(kappa: float) -> DDContext:
     return pair_context(make_modulus(kappa))
 
 
-def forward_integral(T: float, mod: Modulus) -> float:
-    """The incomplete integral u(T); odd and strictly increasing in T.
+def forward_integral(T: float, ctx: DDContext) -> float:
+    """The incomplete integral u(T) of the pair ``ctx``; odd and strictly increasing in T.
 
     On [0, pi/2], with c = hypot(lam, kappa cos T) and
     A = cos^2 T (1 + lam + kappa^2/(c + lam))/2,
@@ -89,36 +91,36 @@ def forward_integral(T: float, mod: Modulus) -> float:
         u(T) = sin T R_F(A, A + lam sin^2 T, (1 + c)/2),
 
     every argument a sum of non-negative terms.  The laws u(-T) = -u(T)
-    and u(T + pi) = u(T) + 2 omega, with omega the lattice's real
-    half-period, as ``phi`` takes it, carry it to the whole line, so a
-    large |T| costs no more than a small one.  Raises DomainError for a
-    non-finite T.
+    and u(T + pi) = u(T) + 2 omega, with omega the real half-period of the
+    context's lattice, carry it to the whole line, so a large |T| costs no
+    more than a small one.  Raises DomainError for a non-finite T.
     """
     if not math.isfinite(T):
         raise DomainError(f"forward integral needs a finite argument, got {T}")
     r = math.remainder(T, math.pi)  # exact, so any |T| lands in [-pi/2, pi/2]
     wraps = round((T - r) / math.pi)
-    kappa, lam = mod.kappa, mod.lam
+    kappa, lam = ctx.modulus
     sin_r, cos_r = math.sin(r), math.cos(r)
     c = math.hypot(lam, kappa * cos_r)
     a = 0.5 * cos_r * cos_r * (1.0 + lam + kappa * kappa / (c + lam))
     u = sin_r * carlson_rf(a, a + lam * sin_r * sin_r, 0.5 * (1.0 + c))
-    return u + 2.0 * wraps * make_context(kappa).lattice.periods.half_real
+    return u + 2.0 * wraps * ctx.lattice.periods.half_real
 
 
-def _phi(u: float, ctx: DDContext) -> float:
-    """phi(u) from p - e1 at the remainder of u modulo 2 omega.
+def phi(u: float, ctx: DDContext) -> float:
+    """Inverse of the forward integral, the unique T with u(T) = u, from p - e1 on the lattice.
 
-    With p1 = p - e1 and r = d - lam = kappa^2 p1/((1 + lam)(p1 + (1 + lam)/2)),
+    With p1 = p - e1 at the remainder of u modulo 2 omega and
+    r = d - lam = kappa^2 p1/((1 + lam)(p1 + (1 + lam)/2)),
     phi = atan2(sqrt((1 + lam)(1 + lam + r)/2), sqrt(p1 (2 lam + r))) on
     [0, omega], free of cancellation; phi(-u) = -phi(u) and
     phi(u + 2 omega) = phi(u) + pi give the rest.  Within the kernel's
-    pole distance of the lattice, phi(u) = u to rounding.
+    pole distance of the lattice, phi(u) = u to rounding.  Raises
+    DomainError for a non-finite argument.
     """
     if not math.isfinite(u):
         raise DomainError(f"phi needs a finite argument, got {u}")
-    mod, lat = ctx.modulus, ctx.lattice
-    lam = mod.lam
+    (kappa, lam), lat = ctx.modulus, ctx.lattice
     two_omega = 2.0 * lat.periods.half_real
     rem = math.remainder(u, two_omega)  # exact, in [-omega, omega]
     wraps = round((u - rem) / two_omega)
@@ -127,31 +129,22 @@ def _phi(u: float, ctx: DDContext) -> float:
     except PoleError:
         return wraps * math.pi + rem
     half = 0.5 * (1.0 + lam)
-    r = mod.kappa ** 2 * p1 / ((1.0 + lam) * (p1 + half))
+    r = kappa ** 2 * p1 / ((1.0 + lam) * (p1 + half))
     angle = math.atan2(math.sqrt(half * (1.0 + lam + r)), math.sqrt(p1 * (2.0 * lam + r)))
     return wraps * math.pi + math.copysign(angle, rem)
 
 
-def phi(u: float, mod: Modulus) -> float:
-    """Inverse of the forward integral, the unique T with u(T) = u.
-
-    Raises DomainError for a non-finite argument.
-    """
-    return _phi(u, make_context(mod.kappa))
+def phi_many(us: Sequence[float], ctx: DDContext) -> list[float]:
+    """``phi`` at each of ``us``."""
+    return [phi(u, ctx) for u in us]
 
 
-def phi_many(us: Sequence[float], mod: Modulus) -> list[float]:
-    """``phi`` at each of ``us``, on one context."""
-    ctx = make_context(mod.kappa)
-    return [_phi(u, ctx) for u in us]
-
-
-def d_real(u: float, mod: Modulus) -> float:
+def d_real(u: float, ctx: DDContext) -> float:
     """The real-axis function d(u) = sqrt(1 - kappa^2 sin^2 phi(u)), as the real part of ``dd``.
 
     Takes values in [lam, 1] and has period 2 omega.
     """
-    return dd(u, make_context(mod.kappa)).real
+    return dd(u, ctx).real
 
 
 def dd(z: complex, ctx: DDContext) -> complex:

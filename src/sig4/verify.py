@@ -23,6 +23,9 @@ routes live here:
   tanh-sinh quadrature (``omega_three_ways``, ``omega_prime``);
 * phi through its differential equation by central differences.
 
+Every route and check takes the pair's ``DDContext``, and its ``y4_lattice``
+where it reads the y4 frame; ``run_suite`` alone builds them, from kappa.
+
 Sampling uses a self-contained 64-bit linear congruential generator
 (state' = state * 6364136223846793005 + 1442695040888963407 mod 2^64,
 uniform doubles from the top 53 bits) so that a (kappa, n, seed, tol)
@@ -36,7 +39,7 @@ import time
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .dd import DDContext, Modulus, dd, forward_integral, make_context, phi_many
+from .dd import DDContext, dd, forward_integral, make_context, phi_many
 from .hypergeometric import complete_f
 from .numerics import DomainError, Interval, PoleError, integrate
 from .quartic import QuarticCoefficients, solve_quartic_ivp
@@ -184,8 +187,8 @@ def _half_period_integral(cos_a: float, sin_a: float, tol: float) -> float:
     return (head + rest) / math.sqrt(2.0)
 
 
-def omega_three_ways(mod: Modulus, tol: float = 1e-12) -> tuple[float, float, float]:
-    """The real half-period by three independent routes.
+def omega_three_ways(ctx: DDContext, tol: float = 1e-12) -> tuple[float, float, float]:
+    """The real half-period of the pair ``ctx`` by three independent routes.
 
     closed:       (pi/2) 2F1(1/4,3/4;1;kappa^2), by the AGM closed form
     via_integral: the forward integral at pi/2, by Carlson's R_F
@@ -193,22 +196,24 @@ def omega_three_ways(mod: Modulus, tol: float = 1e-12) -> tuple[float, float, fl
                   alpha = arcsin(kappa), by tanh-sinh quadrature to ``tol``
                   of the substituted integrand (cos alpha, sin alpha = lam, kappa)
     """
-    closed = 0.5 * math.pi * complete_f(mod.kappa, mod.lam)
-    via_integral = forward_integral(0.5 * math.pi, mod)
-    via_trig = math.sqrt(2.0) * _half_period_integral(mod.lam, mod.kappa, tol)
+    kappa, lam = ctx.modulus
+    closed = 0.5 * math.pi * complete_f(kappa, lam)
+    via_integral = forward_integral(0.5 * math.pi, ctx)
+    via_trig = math.sqrt(2.0) * _half_period_integral(lam, kappa, tol)
     return closed, via_integral, via_trig
 
 
-def omega_prime(mod: Modulus, tol: float = 1e-12) -> float:
-    """Magnitude of the imaginary half-period, by quadrature.
+def omega_prime(ctx: DDContext, tol: float = 1e-12) -> float:
+    """Magnitude of the imaginary half-period of the pair ``ctx``, by quadrature.
 
     Computed as 2 int_0^beta cos(t/2)/sqrt(cos 2t - cos 2 beta) dt with
     beta = pi/2 - arcsin(kappa), so (cos beta, sin beta) = (kappa, lam); it
     also equals (pi/sqrt2) 2F1(1/4,3/4;1;lam^2), that is
     (pi/sqrt2) complete_f(lam, kappa), and the lattice route,
-    ``make_context(kappa).lattice.periods``, gives the same number.
+    ``ctx.lattice.periods.half_imag_mag``, gives the same number.
     """
-    return 2.0 * _half_period_integral(mod.kappa, mod.lam, tol)
+    kappa, lam = ctx.modulus
+    return 2.0 * _half_period_integral(kappa, lam, tol)
 
 
 # ----------------------------------------------------------------------
@@ -232,52 +237,40 @@ def y4_lattice(ctx: DDContext) -> Lattice:
 
 
 # ----------------------------------------------------------------------
-# single-point residuals for the cross-function relations
+# residuals for the cross-function relations; ``ylat`` is ``y4_lattice(ctx)``
 
 
-def check_pP(z: complex, kappa: float) -> float:
-    """|P(z) + 4 p(2iz)|: the quarter-turn relation between the lattices."""
-    ctx = make_context(kappa)
-    return _pP(ctx, y4_lattice(ctx), z)
-
-
-def _pP(ctx: DDContext, ylat: Lattice, z: complex) -> float:
+def check_pP(ctx: DDContext, ylat: Lattice, z: complex) -> float:
+    """|P(z) + 4 p(2iz)|, P on ``ylat`` and p on the lattice of ``ctx``: the quarter turn."""
     return abs(wp(z, ylat) + 4.0 * wp(2j * z, ctx.lattice))
 
 
-def check_ddy4(z: complex, kappa: float) -> float:
+def check_ddy4(ctx: DDContext, ylat: Lattice, z: complex) -> float:
     """Residual of dd(2iz) = 1 + kappa (y4p(z) - mu)/(y4p(z) + mu), multiplied out:
-    |(dd(2iz) - 1)(y + mu) - kappa (y - mu)|/(|y| + mu), y = y4_plus(z) in its own frame."""
-    ctx = make_context(kappa)
-    return _ddy4(ctx, y4_lattice(ctx), z)
-
-
-def _ddy4(ctx: DDContext, ylat: Lattice, z: complex) -> float:
+    |(dd(2iz) - 1)(y + mu) - kappa (y - mu)|/(|y| + mu), y = y4_plus(z) on ``ylat``."""
     kappa, mu = ctx.modulus.kappa, ctx.mu_plus
     y = mobius(z, ylat, 1, 2.0 * kappa, mu, 4.0 * kappa * mu)   # y4_plus in the y4 frame
     return abs((dd(2j * z, ctx) - 1.0) * (y + mu) - kappa * (y - mu)) / (abs(y) + mu)
 
 
-def check_ooOO(kappa: float) -> tuple[float, float]:
+def check_ooOO(ctx: DDContext) -> tuple[float, float]:
     """Period transfer residuals |Omega - (pi/(2 sqrt2)) F(lam^2)| and
     ||Omega'| - (pi/4) F(kappa^2)|: the y4 half-periods that y4 reads off
-    the dd lattice against the AGM closed forms of |omega'|/2 and omega/2."""
-    ctx = make_context(kappa)
-    mod, ypp = ctx.modulus, y4_periods(ctx)
-    res1 = abs(ypp.half_real - math.pi / (2.0 * math.sqrt(2.0)) * complete_f(mod.lam, mod.kappa))
-    res2 = abs(ypp.half_imag_mag - 0.25 * math.pi * complete_f(mod.kappa, mod.lam))
+    the lattice of ``ctx`` against the AGM closed forms of |omega'|/2 and omega/2."""
+    (kappa, lam), ypp = ctx.modulus, y4_periods(ctx)
+    res1 = abs(ypp.half_real - math.pi / (2.0 * math.sqrt(2.0)) * complete_f(lam, kappa))
+    res2 = abs(ypp.half_imag_mag - 0.25 * math.pi * complete_f(kappa, lam))
     return res1, res2
 
 
-def check_final_remark(z: complex, kappa: float) -> float:
-    """Residual of dd(z) = 1 - 2 y4p(z/sqrt8 + zero point)^2.
+def check_final_remark(ctx: DDContext, z: complex) -> float:
+    """Residual of dd(z) = 1 - 2 y4p(z/sqrt8 + zero point)^2, dd on the pair ``ctx``.
 
     Here y4_plus is built with kappa itself as the quartic parameter, so
     its initial value is sqrt((1 + lam)/2) and its zero shift absorbs the
     initial condition dd(0) = 1.
     """
-    ctx = make_context(kappa)
-    swapped = make_y4_context(kappa)   # the pair (lam, kappa)
+    swapped = make_y4_context(ctx.modulus.kappa)   # the pair (lam, kappa)
     zero, _ = y4_zeros_poles(swapped)
     w = y4_plus(z / math.sqrt(8.0) + zero, swapped)
     return abs(dd(z, ctx) - (1.0 - 2.0 * w * w))
@@ -301,7 +294,7 @@ class SuiteInputs:
 
     @cached_property
     def omegas(self) -> tuple[float, float, float]:
-        return omega_three_ways(self.ctx.modulus, tol=1e-13)
+        return omega_three_ways(self.ctx, tol=1e-13)
 
 
 def _worse(worst, worst_z, r, z, ties=True):
@@ -334,8 +327,8 @@ def _with_unplaced(result, residual):
 
 def _run_d_ode(s: SuiteInputs):
     """(d')^2 = 2 (1-d)(d^2 - lam^2) on the real axis, d' by central difference."""
-    mod = s.ctx.modulus
-    omega = s.ctx.lattice.periods.half_real
+    ctx = s.ctx
+    omega = ctx.lattice.periods.half_real
     h = _FD_STEP_REAL
     us = []
     while len(us) < s.n:
@@ -347,9 +340,9 @@ def _run_d_ode(s: SuiteInputs):
     targets = []
     for u in us:
         targets.extend((u - h, u, u + h))
-    phis = phi_many(targets, mod)
-    k2 = mod.kappa ** 2
-    lam2 = mod.lam ** 2
+    phis = phi_many(targets, ctx)
+    k2 = ctx.modulus.kappa ** 2
+    lam2 = ctx.modulus.lam ** 2
 
     def d_of(p: float) -> float:
         return math.sqrt(1.0 - k2 * math.sin(p) ** 2)
@@ -388,9 +381,9 @@ def _run_omega_trig_vs_series(s: SuiteInputs):
 
 def _run_omega_prime_routes(s: SuiteInputs):
     """|omega'| by the trigonometric integral, the AGM closed form and the lattice."""
-    mod = s.ctx.modulus
-    quad = omega_prime(mod, tol=1e-13)
-    closed = math.pi / math.sqrt(2.0) * complete_f(mod.lam, mod.kappa)
+    kappa, lam = s.ctx.modulus
+    quad = omega_prime(s.ctx, tol=1e-13)
+    closed = math.pi / math.sqrt(2.0) * complete_f(lam, kappa)
     lattice = s.ctx.lattice.periods.half_imag_mag
     return 1, max(abs(quad - closed), abs(quad - lattice)), None
 
@@ -475,7 +468,7 @@ def _run_wp_quarter_turn(s: SuiteInputs):
     """P(z) = -4 p(2iz), P on the y4 lattice, plus the exact invariant scaling (2i)^4, (2i)^6."""
     inv, yinv = s.ctx.lattice.invariants, s.ylat.invariants
     scale_res = max(abs(16.0 * inv.g2 - yinv.g2), abs(-64.0 * inv.g3 - yinv.g3))
-    sampled = _sampled_max(s.n, s.rng, y4_periods(s.ctx), (), partial(_pP, s.ctx, s.ylat))
+    sampled = _sampled_max(s.n, s.rng, y4_periods(s.ctx), (), partial(check_pP, s.ctx, s.ylat))
     return _with_unplaced(sampled, scale_res)
 
 
@@ -489,12 +482,11 @@ def _run_dd_y4_bridge(s: SuiteInputs):
         complex(pp.half_real, 0.0),
         complex(-pp.half_real, 0.0),
     )
-    return _sampled_max(s.n, s.rng, pp, avoid, partial(_ddy4, s.ctx, s.ylat))
+    return _sampled_max(s.n, s.rng, pp, avoid, partial(check_ddy4, s.ctx, s.ylat))
 
 
 def _run_period_transfer(s: SuiteInputs):
-    res1, res2 = check_ooOO(s.ctx.modulus.kappa)
-    return 2, max(res1, res2), None
+    return 2, max(check_ooOO(s.ctx)), None
 
 
 def dd_equation_quartic(lam: float) -> QuarticCoefficients:

@@ -16,8 +16,8 @@ mu_plus is mu_plus - kappa mu_plus/((p(2iz) - e3) + kappa/2), relatively
 accurate however small kappa is; the mu_minus solution negates kappa and
 reads p - e2.  The half-period shift laws relating the four solutions are
 checkable facts rather than definitions.  Nor has y4 a context of its
-own: it reads the ``DDContext`` of the pair, from ``make_context(kappa)``
-or, for a bare lam, ``make_y4_context(lam)``.
+own: like every evaluator of the package it takes the ``DDContext`` of
+the pair, from ``make_context(kappa)`` or, for a bare lam, ``make_y4_context(lam)``.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import sig4.verify as verify
 from sig4.cli import main, parse_complex
-from sig4.dd import d_real, dd, forward_integral, make_context, make_modulus, phi, phi_many
+from sig4.dd import d_real, dd, forward_integral, make_context, phi, phi_many
 from sig4.numerics import ConvergenceError
 from sig4.y4 import make_y4_context, y4_plus
 
@@ -62,10 +62,10 @@ def test_small_kappa_commands_succeed():
 
 
 def test_table_phi_matches_scalar_phi():
-    mod = make_modulus(0.5)
+    ctx = make_context(0.5)
     for x, y, re_f, im_f in _table("phi", 0.5, -3.0, 7.0, 20):
         assert y == 0.0 and im_f == 0.0
-        assert re_f == phi(x, mod)
+        assert re_f == phi(x, ctx)
 
 
 def test_table_d_matches_jacobi_form():
@@ -81,7 +81,7 @@ def test_table_d_matches_jacobi_form():
 def test_eval_d_is_real_part_of_dd():
     result = _invoke(["eval", "d", "--kappa", "0.5", "--z", "1.3"])
     assert result.exit_code == 0
-    assert float(result.output) == dd(1.3, make_context(0.5)).real == d_real(1.3, make_modulus(0.5))
+    assert float(result.output) == dd(1.3, make_context(0.5)).real == d_real(1.3, make_context(0.5))
 
 
 def test_real_axis_runs_without_quadrature(monkeypatch):
@@ -95,10 +95,10 @@ def test_real_axis_runs_without_quadrature(monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, unused)
     for kappa in (1e-4, 0.5, 1.0 - 2.0 ** -52):
-        mod = make_modulus(kappa)
-        assert phi_many([-9.0, 0.3, 40.0], mod) == [phi(u, mod) for u in (-9.0, 0.3, 40.0)]
-        assert forward_integral(7.0, mod) > 0.0
-        assert mod.lam <= d_real(2.5, mod) <= 1.0
+        ctx = make_context(kappa)
+        assert phi_many([-9.0, 0.3, 40.0], ctx) == [phi(u, ctx) for u in (-9.0, 0.3, 40.0)]
+        assert forward_integral(7.0, ctx) > 0.0
+        assert ctx.modulus.lam <= d_real(2.5, ctx) <= 1.0
         _table("phi", kappa, -30.0, 30.0, 40)
 
 
@@ -140,6 +140,26 @@ def test_periods_csv_agrees_with_the_plain_output():
     assert header == "omega,omega_prime_mag,Omega,Omega_prime_mag,ratio_dd,ratio_y4"
     assert dict(zip(header.split(","), row.split(","))) == dict(
         line.split(" = ") for line in plain.output.splitlines())
+
+
+@pytest.mark.parametrize("function, options, extra", [
+    ("dd", ["--kappa", "0.5"], ["--lambda", "0.6"]),
+    ("dd", ["--kappa", "0.5"], ["--g2", "3"]),
+    ("phi", ["--kappa", "0.5"], ["--g2", "3"]),
+    ("phi", ["--kappa", "0.5"], ["--lambda", "0.9"]),
+    ("d", ["--kappa", "0.5"], ["--lambda", "0.9", "--g3", "1"]),
+    ("y4plus", ["--lambda", "0.6"], ["--g2", "3"]),
+    ("y4minus", ["--kappa", "0.5"], ["--g3", "1"]),
+    ("wp", ["--g2", "1", "--g3", "0"], ["--kappa", "0.5"]),
+    ("wp", ["--g2", "1", "--g3", "0"], ["--lambda", "0.6"]),
+])
+@pytest.mark.parametrize("command", [["eval", "--z", "0.3"],
+                                     ["table", "--from", "0", "--to", "1", "--steps", "2"]])
+def test_an_option_the_function_does_not_take_is_a_usage_error(command, function, options, extra):
+    result = _invoke([command[0], function, *options, *extra, *command[1:]])
+    assert result.exit_code == 2, result.output
+    named = ", ".join(extra[::2])
+    assert f"{function} does not take {named}" in result.output
 
 
 @pytest.mark.parametrize("function", ["phi", "d"])
@@ -198,6 +218,19 @@ def test_non_positive_tol_is_usage_error(tol):
     result = _invoke(["verify", "--kappa", "0.5", "--n", "2", "--tol", tol])
     assert result.exit_code == 2
     assert "tolerance must be positive" in result.output
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["option", "env"])
+def test_non_finite_tol_is_usage_error(tol, source):
+    # inf would reach the report and fail its strict JSON; nan would pass no row
+    args = ["verify", "--kappa", "0.5", "--n", "2"]
+    if source == "option":
+        result = _invoke(args + [f"--tol={tol}"])
+    else:
+        result = _invoke(args, env={"SIG4_TOL": tol})
+    assert result.exit_code == 2, result.output
+    assert f"tolerance must be positive and finite, got {float(tol)!r}" in result.output
 
 
 def test_verify_passes_at_extreme_kappa():

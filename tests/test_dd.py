@@ -21,6 +21,7 @@ from sig4.hypergeometric import complete_f, hyp2f1
 from sig4.numerics import DomainError, Interval, PoleError, integrate
 from sig4.verify import omega_prime, omega_three_ways
 from sig4.weierstrass import wp
+from sig4.y4 import make_y4_context
 
 # frozen oracle values at kappa = 0.6 (Pochhammer series route)
 OMEGA = 1.7048753139729174
@@ -28,6 +29,11 @@ OMEGA_PRIME = 2.6654053438223957
 
 # from the smallest moduli to the two largest doubles below 1
 KAPPAS = [1e-8, 1e-4, 0.5, 0.9999, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53]
+
+# the contexts of KAPPAS, and of two bare lam whose kappa, fed back to
+# make_context, names a lam one ulp away: each function reads the one it is given
+PAIRS = [make_context(k) for k in KAPPAS] + [make_y4_context(0.45), make_y4_context(0.9)]
+PAIR_IDS = [repr(k) for k in KAPPAS] + ["lam=0.45", "lam=0.9"]
 
 
 def _jacobi(kappa):
@@ -93,40 +99,40 @@ def test_context_invariants(ctx):
 
 class TestForwardIntegral:
     def test_zero(self, ctx):
-        assert forward_integral(0.0, ctx.modulus) == 0.0
+        assert forward_integral(0.0, ctx) == 0.0
 
     def test_at_half_pi(self, ctx):
-        assert forward_integral(0.5 * math.pi, ctx.modulus) == pytest.approx(OMEGA, abs=1e-11)
+        assert forward_integral(0.5 * math.pi, ctx) == pytest.approx(OMEGA, abs=1e-11)
 
     def test_at_pi_doubles(self, ctx):
-        assert forward_integral(math.pi, ctx.modulus) == pytest.approx(2 * OMEGA, abs=1e-11)
+        assert forward_integral(math.pi, ctx) == pytest.approx(2 * OMEGA, abs=1e-11)
 
     def test_odd(self, ctx):
-        assert forward_integral(-0.7, ctx.modulus) == pytest.approx(
-            -forward_integral(0.7, ctx.modulus), abs=1e-14
+        assert forward_integral(-0.7, ctx) == pytest.approx(
+            -forward_integral(0.7, ctx), abs=1e-14
         )
 
     def test_strictly_increasing(self, ctx):
-        values = [forward_integral(t, ctx.modulus) for t in (0.0, 0.5, 1.3, 2.0, 3.3)]
+        values = [forward_integral(t, ctx) for t in (0.0, 0.5, 1.3, 2.0, 3.3)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("kappa", [1e-4, 1e-3, 0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-6])
     def test_at_half_pi_against_mpmath(self, kappa):
         with mpmath.workdps(30):
             omega = mpmath.pi / 2 * mpmath.hyp2f1(0.25, 0.75, 1, mpmath.mpf(kappa) ** 2)
-            assert abs(forward_integral(0.5 * math.pi, make_modulus(kappa)) - omega) <= 1e-12
+            assert abs(forward_integral(0.5 * math.pi, make_context(kappa)) - omega) <= 1e-12
 
     def test_at_half_pi_nearest_one(self):
         # the floor is the float pi/2, 6.1e-17 below pi/2, where f ~ 2.2e4
         kappa = 1.0 - 1e-9
         with mpmath.workdps(30):
             omega = mpmath.pi / 2 * mpmath.hyp2f1(0.25, 0.75, 1, mpmath.mpf(kappa) ** 2)
-            assert abs(forward_integral(0.5 * math.pi, make_modulus(kappa)) - omega) <= 2e-12
+            assert abs(forward_integral(0.5 * math.pi, make_context(kappa)) - omega) <= 2e-12
 
     @pytest.mark.parametrize("kappa", [0.5, 0.9999])
     def test_large_argument_against_mpmath(self, kappa):
         # reduced by u(T + pi) = u(T) + 2 omega, not integrated across |T|
-        mod = make_modulus(kappa)
+        ctx = make_context(kappa)
         with mpmath.workdps(30):
             k2 = mpmath.mpf(kappa) ** 2
             omega = mpmath.pi / 2 * mpmath.hyp2f1(0.25, 0.75, 1, k2)
@@ -138,57 +144,57 @@ class TestForwardIntegral:
                     [0, r / 2, r],
                 )
                 ref = 2 * wraps * omega + quad
-                assert abs(forward_integral(T, mod) - ref) <= 4e-16 * abs(ref), T
+                assert abs(forward_integral(T, ctx) - ref) <= 4e-16 * abs(ref), T
 
     @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9, 0.99])
     def test_closed_integrand_matches_series(self, kappa):
         # the integral of the closed integrand, by R_F, against the series
         # integrated by tanh-sinh where it is accurate, kappa^2 sin^2 t <= 0.9
-        mod = make_modulus(kappa)
+        ctx = make_context(kappa)
         for i in range(1, 33):
             T = 0.05 * i
             if (kappa * math.sin(T)) ** 2 > 0.9:
                 break
             series = integrate(lambda t: hyp2f1(0.25, 0.75, 0.5, (kappa * math.sin(t)) ** 2),
                                Interval(0.0, T), 1e-15)
-            assert abs(forward_integral(T, mod) - series) <= 1e-13 * series, T
+            assert abs(forward_integral(T, ctx) - series) <= 1e-13 * series, T
 
 
 class TestPhi:
     def test_zero(self, ctx):
-        assert phi(0.0, ctx.modulus) == pytest.approx(0.0, abs=1e-12)
+        assert phi(0.0, ctx) == pytest.approx(0.0, abs=1e-12)
 
     def test_at_omega(self, ctx):
-        assert phi(OMEGA, ctx.modulus) == pytest.approx(0.5 * math.pi, abs=1e-10)
+        assert phi(OMEGA, ctx) == pytest.approx(0.5 * math.pi, abs=1e-10)
 
     def test_at_two_omega(self, ctx):
-        assert phi(2 * OMEGA, ctx.modulus) == pytest.approx(math.pi, abs=1e-10)
+        assert phi(2 * OMEGA, ctx) == pytest.approx(math.pi, abs=1e-10)
 
     def test_roundtrip(self, ctx):
         rng = random.Random(2)
         for _ in range(12):
             u = rng.uniform(-8.0, 8.0)
-            assert forward_integral(phi(u, ctx.modulus), ctx.modulus) == pytest.approx(
+            assert forward_integral(phi(u, ctx), ctx) == pytest.approx(
                 u, abs=1e-10
             )
 
     def test_phi_many_matches_scalar(self, ctx):
         us = [-3.5, -0.4, 0.0, 1.1, 2.9, 6.2]
-        assert phi_many(us, ctx.modulus) == [phi(u, ctx.modulus) for u in us]
+        assert phi_many(us, ctx) == [phi(u, ctx) for u in us]
 
     @pytest.mark.parametrize("kappa", [0.9999, 1.0 - 1e-6])
     def test_scalar_matches_many_near_one(self, kappa):
-        mod = make_modulus(kappa)
-        omega = omega_three_ways(mod)[0]
+        ctx = make_context(kappa)
+        omega = omega_three_ways(ctx)[0]
         us = [2.0 * omega * i / 40 for i in range(41)]
-        assert phi_many(us, mod) == [phi(u, mod) for u in us]
+        assert phi_many(us, ctx) == [phi(u, ctx) for u in us]
 
     def test_phi_many_against_mpmath_nearest_one(self):
         kappa = 1.0 - 1e-9
-        mod = make_modulus(kappa)
-        omega = make_context(kappa).lattice.periods.half_real
+        ctx = make_context(kappa)
+        omega = ctx.lattice.periods.half_real
         us = [-3 * omega + 7 * omega * i / 13 for i in range(14)]
-        got = phi_many(us, mod)
+        got = phi_many(us, ctx)
         with mpmath.workdps(30):
             k2 = mpmath.mpf(kappa) ** 2
 
@@ -223,42 +229,43 @@ class TestPhi:
     def test_against_jacobi_form(self, kappa):
         # u = -28.63 at 1 - 2^-52 is where an earlier route was off by
         # 0.092 and raised nothing
-        mod = make_modulus(kappa)
-        omega = make_context(kappa).lattice.periods.half_real
+        ctx = make_context(kappa)
+        omega = ctx.lattice.periods.half_real
         us = [0.0, omega, 2.0 * omega, -omega] + [3.0 * omega * (i / 30 - 1) for i in range(61)]
         if kappa == 1.0 - 2.0 ** -52:
             us.append(-28.63163922408218)
-        many = phi_many(us, mod)
+        many = phi_many(us, ctx)
         for u, got in zip(us, many):
-            assert got == phi(u, mod)
+            assert got == phi(u, ctx)
             assert abs(got - _jacobi_phi(u, kappa)) <= 1e-14, u
 
-    @pytest.mark.parametrize("kappa", KAPPAS)
-    def test_round_trip_through_forward_integral(self, kappa):
-        # two independent closed forms, R_F forward and p - e1 back
-        mod = make_modulus(kappa)
+    @pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
+    def test_round_trip_through_forward_integral(self, pair):
+        # two independent closed forms, R_F forward and p - e1 back, on one context
         for i in range(161):
             T = 2.0 * math.pi * (i / 80 - 1)
-            assert abs(phi(forward_integral(T, mod), mod) - T) <= 4e-15 * max(1.0, abs(T)), T
+            u = forward_integral(T, pair)
+            assert abs(phi(u, pair) - T) <= 4e-15 * max(1.0, abs(T)), T
+            assert d_real(u, pair) == dd(u, pair).real, T
 
     def test_sign_flip_of_sin_phi(self, ctx):
         # sin(phi) switches sign on translation by 2 omega
         rng = random.Random(9)
         for _ in range(10):
             u = rng.uniform(-4.0, 4.0)
-            s0 = math.sin(phi(u, ctx.modulus))
-            s1 = math.sin(phi(u + 2 * OMEGA, ctx.modulus))
+            s0 = math.sin(phi(u, ctx))
+            s1 = math.sin(phi(u + 2 * OMEGA, ctx))
             assert abs(s1 + s0) <= 1e-10
 
 
 def test_non_finite_arguments_rejected(ctx):
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
-            forward_integral(bad, ctx.modulus)
+            forward_integral(bad, ctx)
         with pytest.raises(DomainError):
-            phi(bad, ctx.modulus)
+            phi(bad, ctx)
         with pytest.raises(DomainError):
-            phi_many([0.5, bad], ctx.modulus)
+            phi_many([0.5, bad], ctx)
 
 
 def test_table_phi_nearest_one_matches_jacobi_form():
@@ -275,30 +282,30 @@ def test_table_phi_nearest_one_matches_jacobi_form():
 def test_phi_of_huge_finite_argument(ctx):
     # the reduction by 2 omega must be exact: u - floor(u/2 omega) 2 omega is off by 2.4e257 here
     u = 1.9371377958034344e273
-    assert phi(u, ctx.modulus) == pytest.approx(u * math.pi / (2 * OMEGA), rel=1e-15)
-    assert phi_many([u], ctx.modulus)[0] == phi(u, ctx.modulus)
+    assert phi(u, ctx) == pytest.approx(u * math.pi / (2 * OMEGA), rel=1e-15)
+    assert phi_many([u], ctx)[0] == phi(u, ctx)
 
 
 class TestDReal:
     def test_initial_value(self, ctx):
-        assert d_real(0.0, ctx.modulus) == pytest.approx(1.0, abs=1e-12)
+        assert d_real(0.0, ctx) == pytest.approx(1.0, abs=1e-12)
 
     def test_at_omega(self, ctx):
-        assert d_real(OMEGA, ctx.modulus) == pytest.approx(0.8, abs=1e-10)
+        assert d_real(OMEGA, ctx) == pytest.approx(0.8, abs=1e-10)
 
     def test_period(self, ctx):
-        assert d_real(2 * OMEGA, ctx.modulus) == pytest.approx(1.0, abs=1e-10)
+        assert d_real(2 * OMEGA, ctx) == pytest.approx(1.0, abs=1e-10)
         rng = random.Random(4)
         for _ in range(10):
             u = rng.uniform(-3.0, 3.0)
-            assert d_real(u + 2 * OMEGA, ctx.modulus) == pytest.approx(
-                d_real(u, ctx.modulus), abs=1e-9
+            assert d_real(u + 2 * OMEGA, ctx) == pytest.approx(
+                d_real(u, ctx), abs=1e-9
             )
 
     def test_range(self, ctx):
         rng = random.Random(6)
         for _ in range(50):
-            value = d_real(rng.uniform(-2 * OMEGA, 2 * OMEGA), ctx.modulus)
+            value = d_real(rng.uniform(-2 * OMEGA, 2 * OMEGA), ctx)
             assert 0.8 - 1e-12 <= value <= 1.0 + 1e-12
 
 
@@ -375,7 +382,7 @@ class TestDD:
         targets = []
         for u in us:
             targets.extend((u - h, u, u + h))
-        phis = phi_many(targets, ctx.modulus)
+        phis = phi_many(targets, ctx)
         for i in range(0, len(targets), 3):
             dm, d0, dp = (
                 math.sqrt(1 - 0.36 * math.sin(p) ** 2) for p in phis[i : i + 3]
@@ -386,14 +393,14 @@ class TestDD:
 
 class TestPeriods:
     def test_three_ways_agree(self, ctx):
-        closed, via_integral, via_trig = omega_three_ways(ctx.modulus)
+        closed, via_integral, via_trig = omega_three_ways(ctx)
         assert closed == pytest.approx(OMEGA, abs=1e-11)
         assert abs(closed - via_integral) <= 1e-8
         assert abs(closed - via_trig) <= 1e-8
         assert abs(via_integral - via_trig) <= 1e-8
 
     def test_omega_prime_routes(self, ctx):
-        quad = omega_prime(ctx.modulus)
+        quad = omega_prime(ctx)
         assert quad == pytest.approx(OMEGA_PRIME, abs=1e-10)
         series = math.pi / math.sqrt(2.0) * 1.199853960107822
         assert abs(quad - series) <= 1e-8
@@ -401,9 +408,9 @@ class TestPeriods:
 
     def test_self_complementary_ratio(self):
         ctx = make_context(1.0 / math.sqrt(2.0))
-        pp, mod = ctx.lattice.periods, ctx.modulus
+        pp = ctx.lattice.periods
         assert pp.half_imag_mag / pp.half_real == pytest.approx(math.sqrt(2.0), abs=1e-13)
-        assert omega_prime(mod) / omega_three_ways(mod)[0] == pytest.approx(
+        assert omega_prime(ctx) / omega_three_ways(ctx)[0] == pytest.approx(
             math.sqrt(2.0), abs=1e-9
         )
 

@@ -20,6 +20,7 @@ from sig4.verify import (
     omega_prime,
     omega_three_ways,
     run_suite,
+    y4_lattice,
 )
 
 
@@ -54,11 +55,11 @@ def test_y4_equation_rows_at_small_kappa(kappa):
 @pytest.mark.parametrize("kappa", [1e-300, 1e-160, 1e-100, 1e-15, 1e-8, 0.5, 1.0 - 1e-12,
                                    1.0 - 2.0 ** -53])
 def test_half_period_quadrature_at_both_ends(kappa):
-    mod = make_context(kappa).modulus
-    closed, _, via_trig = omega_three_ways(mod, tol=1e-13)
+    ctx = make_context(kappa)
+    closed, _, via_trig = omega_three_ways(ctx, tol=1e-13)
     assert abs(via_trig - closed) <= 2e-14 * closed
-    closed_prime = math.pi / math.sqrt(2.0) * complete_f(mod.lam, mod.kappa)
-    assert abs(omega_prime(mod, tol=1e-13) - closed_prime) <= 2e-14 * closed_prime
+    closed_prime = math.pi / math.sqrt(2.0) * complete_f(ctx.modulus.lam, kappa)
+    assert abs(omega_prime(ctx, tol=1e-13) - closed_prime) <= 2e-14 * closed_prime
 
 
 def _perturbed(value):
@@ -128,12 +129,13 @@ def test_y4_shifts_at_kappa_nearest_one(kappa):
 @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9, 0.99])
 def test_final_remark_over_the_dd_cell(kappa):
     # dd(z) = 1 - 2 y4p(z/sqrt8 + zero)^2, y4 built on kappa as its parameter
-    pp = make_context(kappa).lattice.periods
+    ctx = make_context(kappa)
+    pp = ctx.lattice.periods
     rng = Lcg64(0)
     poles = (complex(0.0, pp.half_imag_mag), complex(0.0, -pp.half_imag_mag))
     for _ in range(200):
         z = _draw(rng, pp, poles)
-        assert check_final_remark(z, kappa) <= 1e-10, z
+        assert check_final_remark(ctx, z) <= 1e-10, z
 
 
 def test_suite_reports_every_row_at_small_kappa():
@@ -193,13 +195,15 @@ def test_worst_z_reproduces_the_worst_residual():
         "y4-zero-pole", "period-transfer",
     ))
     x, y = rows["dd-y4-bridge"]["worst_z"]
-    assert check_ddy4(complex(x, y), 0.5) == rows["dd-y4-bridge"]["max_residual"]
+    ctx = make_context(0.5)
+    assert check_ddy4(ctx, y4_lattice(ctx), complex(x, y)) == rows["dd-y4-bridge"]["max_residual"]
 
 
 def test_check_pp_replays_the_quarter_turn_worst_z():
     row = next(c for c in run_suite(0.99, 200, 0, 1e-8).checks if c.name == "wp-quarter-turn")
     assert row.worst_z is not None
-    assert check_pP(row.worst_z, 0.99) == row.max_residual
+    ctx = make_context(0.99)
+    assert check_pP(ctx, y4_lattice(ctx), row.worst_z) == row.max_residual
 
 
 def test_nan_residual_fails_its_row():
@@ -225,6 +229,6 @@ def test_omega_routes_computed_once_per_suite(monkeypatch):
     report = run_suite(0.5, 5, 0, 1e-8)
     assert len(calls) == 1
     rows = {c.name: c.max_residual for c in report.checks}
-    closed, via_integral, via_trig = original(make_context(0.5).modulus, tol=1e-13)
+    closed, via_integral, via_trig = original(make_context(0.5), tol=1e-13)
     assert rows["omega-trig-vs-forward"] == abs(via_trig - via_integral)
     assert rows["omega-trig-vs-series"] == abs(via_trig - closed)
