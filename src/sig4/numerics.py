@@ -97,11 +97,12 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> float:
     offsets from 0 resolve down to the subnormal range.  Nodes that would
     collapse onto an endpoint are skipped.
 
-    Raises ConvergenceError if level-to-level refinement has not settled
-    below ``tol`` after the maximum refinement level.
+    Raises DomainError before any evaluation unless ``tol`` > 0, so also
+    for a NaN ``tol``; raises ConvergenceError if level-to-level refinement
+    has not settled below ``tol`` after the maximum refinement level.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     a, b = iv
     length = b - a
     half = 0.5 * length
@@ -135,6 +136,10 @@ def integrate(f: Callable[[float], float], iv: Interval, tol: float) -> float:
     )
 
 
+_THREE_SQRT3 = 3.0 * math.sqrt(3.0)
+_THIRD_TURN, _TWO_THIRDS_TURN = (2.0 * math.pi * k / 3.0 for k in (1, 2))
+
+
 def solve_depressed_cubic(g2: float, g3: float) -> tuple[float, float, float]:
     """Real roots of ``4 t^3 - g2 t - g3 = 0``, sorted descending.
 
@@ -147,13 +152,14 @@ def solve_depressed_cubic(g2: float, g3: float) -> tuple[float, float, float]:
     if not disc > 0.0:
         raise DomainError(f"discriminant g2^3 - 27 g3^2 = {disc:g} is not positive")
     amp = math.sqrt(g2 / 3.0)
-    arg = 3.0 * math.sqrt(3.0) * g3 / (g2 * math.sqrt(g2))
+    arg = _THREE_SQRT3 * g3 / (g2 * math.sqrt(g2))
     arg = max(-1.0, min(1.0, arg))
     theta = math.acos(arg) / 3.0
-    roots = [amp * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    shift = (roots[0] + roots[1] + roots[2]) / 3.0  # re-center to exact zero sum
-    roots = sorted((r - shift for r in roots), reverse=True)
-    return roots[0], roots[1], roots[2]
+    r0 = amp * math.cos(theta)
+    r1 = amp * math.cos(theta - _THIRD_TURN)
+    r2 = amp * math.cos(theta - _TWO_THIRDS_TURN)
+    shift = (r0 + r1 + r2) / 3.0  # re-center to exact zero sum
+    return tuple(sorted((r0 - shift, r1 - shift, r2 - shift), reverse=True))
 
 
 def agm(a: float, b: float) -> float:

@@ -563,12 +563,14 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
     the row's ``max_residual`` and ``worst_z``, so the row fails.  A runner
     that raises ArithmeticError, ValueError or RuntimeError (PoleError,
     DomainError, ConvergenceError) becomes a failed check with its error and
-    the run goes on; only a context that cannot be built aborts it.
+    the run goes on; only a context that cannot be built aborts it.  Raises
+    DomainError for n_samples < 1 or a tolerance outside (0, inf), which
+    would pass every row and leave a report strict JSON cannot hold.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be at least 1")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     start = time.perf_counter()
     try:
         ctx = make_context(kappa)

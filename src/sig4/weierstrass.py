@@ -101,6 +101,8 @@ class Lattice(NamedTuple):
     ``table[anchor][j]`` = (N, D, K, head) and ``slopes[anchor]`` = K' give
         p - e_j = head + K (theta_N/theta_D)^2   (j = 0: p itself),
         p'      = K' theta1 theta2 theta3 theta4 / theta_D^4.
+    N, D and the signs of K and K' depend only on ``rotated``, so the table
+    is filled from one of two per-frame templates made once at import.
     """
 
     invariants: Invariants
@@ -128,6 +130,31 @@ _SLOPE_SIGNS = (-1.0, 1.0, -1.0, 1.0)
 _ANCHOR_ROOTS = (0, 1, 3, 2)   # parities (real bit first) -> root index of the anchor
 
 
+def _frame_template(
+    rotated: bool,
+) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[float, ...]]:
+    """One frame's table, row after row, as (N, D, index of K, index of head)
+    into the values (0.0, e1, e2, e3, k1, k2, k3, -k1, -k2, -k3) of
+    ``build_lattice``; and its slope signs.
+
+    In the rotated frame root j of the lattice is root 4 - j of the frame, negated.
+    """
+    frame = (0, 3, 2, 1) if rotated else (0, 1, 2, 3)   # root index <-> frame root index
+    sign = -1.0 if rotated else 1.0   # p = -p_frame
+    entries = []
+    for k in _ANCHOR_ROOTS:
+        row = []
+        for j in (1, 2, 3):
+            n, d, s = _SHIFTS[frame[k]][frame[j] - 1]
+            row.append((n, d, j + (3 if sign * s > 0.0 else 6), 0))
+        own = k or frame[1]   # p itself from the frame's own anchor, e_ref at the lattice point
+        entries += [row[own - 1][:3] + (own,)] + row
+    return tuple(entries), tuple(_SLOPE_SIGNS[frame[k]] for k in _ANCHOR_ROOTS)
+
+
+_TEMPLATES = (_frame_template(False), _frame_template(True))   # indexed by ``rotated``
+
+
 def build_lattice(
     inv: Invariants, roots: MidpointTriple, d12: float, d13: float, d23: float
 ) -> Lattice:
@@ -140,34 +167,31 @@ def build_lattice(
     constants K of p - e_j are the products sqrt(d12 d13), sqrt(d12 d23) and
     sqrt(d13 d23) of the same differences.  A and G keep the harmonics to
     sin 7v and cos 6v: on the anchored cell |Im v| <= pi b/(4a), so the
-    first left out is below q^14 <= 2^-56 of the sum.
+    first left out is below q^14 <= 2^-56 of the sum.  Which theta pair and
+    sign each anchor and root takes depends only on the frame, so both
+    frames' tables are made once at import (``_TEMPLATES``); a build forms
+    the K values, the heads and the slopes and fills them in.
     """
     root = math.sqrt(d13)
     periods = PeriodPair(_complete_k(d12 / d13) / root, _complete_k(d23 / d13) / root)
-    rotated = periods.half_real > periods.half_imag_mag
-    a, b = sorted((periods.half_real, periods.half_imag_mag))
+    hr, hi = periods
+    rotated = hr > hi
+    a, b = (hi, hr) if rotated else (hr, hi)
     q = math.exp(-math.pi * b / a)
     # sin((2n+1)v)/sin v and cos 2nv as polynomials in x, n = 0 .. 3
     lead, q2, q4, q6, q9, q12 = 2.0 * q ** 0.25, q * q, q ** 4, q ** 6, q ** 9, q ** 12
     theta = (lead * (1.0 - q2 - q6 + q12), lead * 4.0 * (q6 - q12),
              lead * 2.0 * (q6 + 2.0 * q12 - q2), -8.0 * lead * q12,
              1.0 - 2.0 * q4, 4.0 * q4, 2.0 * q - 6.0 * q9, 8.0 * q9)
-    frame = (0, 3, 2, 1) if rotated else (0, 1, 2, 3)   # root index <-> frame root index
-    sign, turn = (-1.0, 1j) if rotated else (1.0, 1.0)   # p = -p_frame, p' = i p'_frame
-    ks = (0.0, math.sqrt(d12 * d13), math.sqrt(d12 * d23), math.sqrt(d13 * d23))
-    slope = 2.0 * turn * ks[1] * math.sqrt(d23)   # p'^2 = 4 (p - e1)(p - e2)(p - e3)
-    es = (0.0, roots.e1, roots.e2, roots.e3)
-    table = []
-    for k in _ANCHOR_ROOTS:
-        row = [None]
-        for j in (1, 2, 3):
-            n, d, s = _SHIFTS[frame[k]][frame[j] - 1]
-            row.append((n, d, sign * s * ks[j], 0.0))
-        own = k or frame[1]   # p itself from the frame's own anchor, e_ref at the lattice point
-        row[0] = row[own][:3] + (es[own],)
-        table.append(tuple(row))
-    slopes = tuple(_SLOPE_SIGNS[frame[k]] * slope for k in _ANCHOR_ROOTS)
-    return Lattice(inv, roots, periods, rotated, math.pi / (2 * a), q, theta, tuple(table), slopes)
+    k1, k2, k3 = math.sqrt(d12 * d13), math.sqrt(d12 * d23), math.sqrt(d13 * d23)
+    values = (0.0, roots.e1, roots.e2, roots.e3, k1, k2, k3, -k1, -k2, -k3)
+    template, (s0, s1, s2, s3) = _TEMPLATES[rotated]
+    cells = tuple([(n, d, values[k], values[h]) for n, d, k, h in template])
+    turn = 1j if rotated else 1.0   # p' = i p'_frame
+    slope = 2.0 * turn * k1 * math.sqrt(d23)   # p'^2 = 4 (p - e1)(p - e2)(p - e3)
+    return Lattice(inv, roots, periods, rotated, math.pi / (2 * a), q, theta,
+                   (cells[0:4], cells[4:8], cells[8:12], cells[12:16]),
+                   (s0 * slope, s1 * slope, s2 * slope, s3 * slope))
 
 
 @lru_cache(maxsize=512)

@@ -67,6 +67,12 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(lambda x: 1.0, Interval(0.0, 1.0), 0.0)
 
+    def test_nan_tolerance_rejected_before_any_evaluation(self):
+        calls = []
+        with pytest.raises(DomainError, match="tol must be positive"):
+            integrate(calls.append, Interval(0.0, 1.0), math.nan)
+        assert calls == []
+
     def test_nonconvergence_signalled(self):
         # genuinely divergent integrand: refinement never settles
         with pytest.raises(ConvergenceError):
@@ -132,6 +138,29 @@ class TestDepressedCubic:
             solve_depressed_cubic(0.0, 1.0)
         with pytest.raises(DomainError):
             solve_depressed_cubic(3.0, 1.0)  # 27 - 27 = 0 exactly
+
+    def test_matches_the_list_comprehension_formula(self):
+        # bit for bit, over a seeded sweep that reaches close to a double root
+        def reference(g2, g3):
+            amp = math.sqrt(g2 / 3.0)
+            arg = 3.0 * math.sqrt(3.0) * g3 / (g2 * math.sqrt(g2))
+            arg = max(-1.0, min(1.0, arg))
+            theta = math.acos(arg) / 3.0
+            roots = [amp * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+            shift = (roots[0] + roots[1] + roots[2]) / 3.0
+            roots = sorted((r - shift for r in roots), reverse=True)
+            return roots[0], roots[1], roots[2]
+
+        rng = random.Random(2024)
+        for i in range(20000):
+            g2 = rng.uniform(1e-3, 50.0) * 10.0 ** rng.randint(-8, 8)
+            edge = math.sqrt(g2 ** 3 / 27.0)
+            if i % 4:
+                g3 = rng.uniform(-edge, edge)
+            else:
+                g3 = rng.choice((-1.0, 1.0)) * edge * (1.0 - 10.0 ** rng.uniform(-15.0, -1.0))
+            if g2 ** 3 - 27.0 * g3 ** 2 > 0.0:
+                assert repr(solve_depressed_cubic(g2, g3)) == repr(reference(g2, g3)), (g2, g3)
 
     def test_roots_sum_to_zero(self):
         e1, e2, e3 = solve_depressed_cubic(15.573333333333332, -11.282962962962962)

@@ -9,7 +9,7 @@ import pytest
 import sig4.verify as verify
 from sig4.dd import make_context
 from sig4.hypergeometric import complete_f
-from sig4.numerics import ConvergenceError
+from sig4.numerics import ConvergenceError, DomainError
 from sig4.verify import (
     REGISTRY_NAMES,
     Lcg64,
@@ -232,3 +232,11 @@ def test_omega_routes_computed_once_per_suite(monkeypatch):
     closed, via_integral, via_trig = original(make_context(0.5), tol=1e-13)
     assert rows["omega-trig-vs-forward"] == abs(via_trig - via_integral)
     assert rows["omega-trig-vs-series"] == abs(via_trig - closed)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8])
+def test_run_suite_rejects_a_tolerance_outside_zero_to_infinity(tol):
+    # an infinite tolerance would pass every row and write a report that
+    # strict JSON cannot hold
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        run_suite(0.5, 2, 0, tol)

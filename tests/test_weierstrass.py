@@ -12,8 +12,12 @@ from sig4.numerics import DomainError, PoleError
 from sig4.quartic import solve_quartic_ivp
 from sig4.verify import dd_equation_quartic, y4_lattice
 from sig4.weierstrass import (
+    _ANCHOR_ROOTS,
+    _SHIFTS,
+    _SLOPE_SIGNS,
     Invariants,
     _evaluate,
+    build_lattice,
     half_periods,
     lattice,
     midpoints,
@@ -458,3 +462,58 @@ def test_value_alone_matches_value_with_derivative(kappa):
                 z = complex(sr * hr, si * hi) + offset * near
                 for j in range(4):
                     assert _evaluate(z, lat, j, False)[0] == _evaluate(z, lat, j, True)[0], (z, j)
+
+
+def _table_by_anchor(roots, d12, d13, d23, rotated):
+    """(table, slopes) filled anchor by anchor straight from _SHIFTS, _SLOPE_SIGNS
+    and _ANCHOR_ROOTS, with every K and K' formed as sign times value."""
+    frame = (0, 3, 2, 1) if rotated else (0, 1, 2, 3)
+    sign, turn = (-1.0, 1j) if rotated else (1.0, 1.0)
+    ks = (0.0, math.sqrt(d12 * d13), math.sqrt(d12 * d23), math.sqrt(d13 * d23))
+    slope = 2.0 * turn * ks[1] * math.sqrt(d23)
+    es = (0.0,) + tuple(roots)
+    table = []
+    for k in _ANCHOR_ROOTS:
+        row = [None]
+        for j in (1, 2, 3):
+            n, d, s = _SHIFTS[frame[k]][frame[j] - 1]
+            row.append((n, d, sign * s * ks[j], 0.0))
+        own = k or frame[1]
+        row[0] = row[own][:3] + (es[own],)
+        table.append(tuple(row))
+    return tuple(table), tuple(_SLOPE_SIGNS[frame[k]] * slope for k in _ANCHOR_ROOTS)
+
+
+# around 1/sqrt2 and on both sides of 2 sqrt2/3, where the dd lattice changes
+# frame (omega = |omega'| at lam = 1/3; one ulp below, the two are equal), out
+# to the ends of the range (at 1e-300 kappa^2 underflows and two K are 0.0)
+SQUARE_KAPPA = 2.0 * math.sqrt(2.0) / 3.0
+TEMPLATE_KAPPAS = [1e-300, 1e-8, 0.3, math.nextafter(2 ** -0.5, 0.0), 2 ** -0.5, 0.72,
+                   math.nextafter(SQUARE_KAPPA, 0.0), SQUARE_KAPPA, 0.945, 0.99, 1.0 - 2.0 ** -53]
+
+
+def test_frame_templates_give_the_anchor_by_anchor_table():
+    # every (N, D, K, head) and every slope, by repr, so a sign of zero counts
+    lattices = [make_context(kappa).lattice for kappa in TEMPLATE_KAPPAS]
+    assert {lat.rotated for lat in lattices} == {False, True}
+    assert any(lat.periods.half_real == lat.periods.half_imag_mag for lat in lattices)
+    for kappa in TEMPLATE_KAPPAS:
+        ctx = make_context(kappa)
+        (_, lam), ylat = ctx.modulus, y4_lattice(ctx)
+        gaps = {
+            "dd": (lam, 0.5 * (1.0 + lam), kappa * kappa / (2.0 * (1.0 + lam))),
+            "y4": (2.0 * kappa * kappa / (1.0 + lam), 2.0 * (1.0 + lam), 4.0 * lam),
+        }
+        for kind, lat in (("dd", ctx.lattice), ("y4", ylat)):
+            built = build_lattice(lat.invariants, lat.roots, *gaps[kind])
+            assert repr(built) == repr(lat), (kind, kappa)
+            reference = _table_by_anchor(lat.roots, *gaps[kind], lat.rotated)
+            assert repr((lat.table, lat.slopes)) == repr(reference), (kind, kappa)
+    rng = random.Random(11)
+    for _ in range(40):
+        g2 = rng.uniform(0.1, 10.0)
+        g3 = rng.uniform(-0.99, 0.99) * math.sqrt(g2 ** 3 / 27.0)
+        lat = lattice(Invariants(g2, g3))
+        e1, e2, e3 = lat.roots
+        reference = _table_by_anchor(lat.roots, e1 - e2, e1 - e3, e2 - e3, lat.rotated)
+        assert repr((lat.table, lat.slopes)) == repr(reference), (g2, g3)
