@@ -17,11 +17,14 @@ y4plus and y4minus a bare lam instead, and the two exclude each other.
 Exit codes: 0 success, 1 numerical or verification failure, 2 usage
 error; a literal or grid point that overflows a float, an option the
 function does not take and a tolerance outside (0, inf) are usage errors.
-The environment variable SIG4_TOL overrides the default verification
-tolerance.  ``verify`` prints its report even when some identities failed
-or raised; it exits 1 then.  Only ``verify`` loads the identity suite
-(``sig4.verify``): ``eval``, ``table``, ``periods`` and ``invariants``
-never execute it.
+Every DomainError a command raises leaves through one error exit, the
+``invoke`` of the group class ``_Sig4Group``, which prints
+``error: <message>`` to stderr and exits 1; at a pole ``eval`` and
+``table`` print ``pole`` instead.  The environment variable SIG4_TOL
+overrides the default verification tolerance.  ``verify`` prints its
+report even when some identities failed or raised; it exits 1 then.  Only
+``verify`` loads the identity suite (``sig4.verify``): ``eval``,
+``table``, ``periods`` and ``invariants`` never execute it.
 """
 
 from __future__ import annotations
@@ -40,31 +43,20 @@ from .weierstrass import Invariants, wp
 from .y4 import make_y4_context, y4_minus, y4_periods, y4_plus
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# 'a' or 'a+bi' (groups re, im), or 'bi' (group imag); each part keeps its sign
 _COMPLEX_RE = re.compile(
-    rf"^\s*(?P<re>[+-]?\s*{_NUM})\s*(?:(?P<sign>[+-])\s*(?P<im>{_NUM})\s*i)?\s*$"
+    rf"^\s*(?:(?P<re>[+-]?\s*{_NUM})\s*(?:(?P<im>[+-]\s*{_NUM})\s*i)?"
+    rf"|(?P<imag>[+-]?\s*{_NUM})\s*i)\s*$"
 )
-_IMAG_RE = re.compile(rf"^\s*(?P<sign>[+-]?)\s*(?P<im>{_NUM})\s*i\s*$")
 
 
 def parse_complex(text: str) -> complex:
     """Parse 'a', 'a+bi', 'a-bi' or 'bi', spaces allowed; both parts finite."""
     m = _COMPLEX_RE.match(text)
-    if m:
-        re_part = float(m.group("re").replace(" ", ""))
-        im_part = 0.0
-        if m.group("im") is not None:
-            im_part = float(m.group("im"))
-            if m.group("sign") == "-":
-                im_part = -im_part
-        z = complex(re_part, im_part)
-    else:
-        m = _IMAG_RE.match(text)
-        if not m:
-            raise click.BadParameter(f"cannot parse complex literal {text!r}; expected 'a+bi'")
-        im_part = float(m.group("im"))
-        if m.group("sign") == "-":
-            im_part = -im_part
-        z = complex(0.0, im_part)
+    if not m:
+        raise click.BadParameter(f"cannot parse complex literal {text!r}; expected 'a+bi'")
+    part = {name: float(v.replace(" ", "")) for name, v in m.groupdict().items() if v is not None}
+    z = complex(part.get("re", 0.0), part.get("im", part.get("imag", 0.0)))
     if not cmath.isfinite(z):
         raise click.BadParameter(f"complex literal {text!r} overflows a float")
     return z
@@ -132,7 +124,20 @@ def _evaluate(function: str, z: complex, kappa, lam, g2, g3):
         return "pole"
 
 
-@click.group()
+class _Sig4Group(click.Group):
+    """The one error exit: a DomainError from any command prints 'error: ...'
+    and exits 1.  Only DomainError: click's Exit and Abort, which --help and
+    Ctrl-C raise, are RuntimeErrors and must pass."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except DomainError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Sig4Group)
 def main() -> None:
     """Signature-four elliptic function toolkit."""
 
@@ -150,11 +155,7 @@ def cmd_eval(function, z_text, kappa, lam, g2, g3):
     """Evaluate FUNCTION at one point and print the value."""
     z = parse_complex(z_text)
     _check_options(function, kappa, lam, g2, g3)
-    try:
-        value = _evaluate(function, z, kappa, lam, g2, g3)
-    except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    value = _evaluate(function, z, kappa, lam, g2, g3)
     if isinstance(value, str):
         click.echo(value)
     elif isinstance(value, complex):
@@ -168,11 +169,7 @@ def cmd_eval(function, z_text, kappa, lam, g2, g3):
 @click.option("--csv", "as_csv", is_flag=True, help="emit one CSV row with header")
 def periods(kappa, as_csv):
     """Half-periods of dd and of y4 at a modulus, plus both period ratios."""
-    try:
-        ctx = make_context(kappa)
-    except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    ctx = make_context(kappa)
     pp, ypp = ctx.lattice.periods, y4_periods(ctx)
     rows = [
         ("omega", fmt_real(pp.half_real)),
@@ -194,11 +191,7 @@ def periods(kappa, as_csv):
 @click.option("--kappa", type=_UNIT_OPEN, required=True)
 def invariants(kappa):
     """Invariants and midpoint values of the dd and, by the quarter turn, the y4 p-function."""
-    try:
-        ctx = make_context(kappa)
-    except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    ctx = make_context(kappa)
     inv, mid = ctx.lattice.invariants, ctx.lattice.roots
     yinv = Invariants(16.0 * inv.g2, -64.0 * inv.g3)
     click.echo(f"g2 = {fmt_real(inv.g2)}")
@@ -230,11 +223,7 @@ def table(function, kappa, lam, g2, g3, start, stop, steps, imag):
     xs = [start + (stop - start) * k / steps for k in range(steps + 1)]
     _require(all(map(math.isfinite, xs)) and math.isfinite(imag),
              "--from, --to and --imag must give finite grid points")
-    try:
-        values = [_evaluate(function, complex(x, imag), kappa, lam, g2, g3) for x in xs]
-    except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    values = [_evaluate(function, complex(x, imag), kappa, lam, g2, g3) for x in xs]
     writer = _csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["re(z)", "im(z)", "re(f)", "im(f)"])
     for x, value in zip(xs, values):
@@ -264,11 +253,7 @@ def verify(kappa, n, seed, tol, out):
     if tol is None:
         tol = _default_tol()
     _require(0.0 < tol < math.inf, f"tolerance must be positive and finite, got {tol!r}")
-    try:
-        report = run_suite(kappa, n, seed, tol)
-    except (DomainError, RuntimeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    report = run_suite(kappa, n, seed, tol)
     payload = json.dumps(report.to_json_dict(), indent=2, allow_nan=False)
     if out is not None:
         with open(out, "w", encoding="utf-8") as handle:

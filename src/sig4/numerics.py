@@ -6,7 +6,9 @@ Scalar building blocks used throughout the package:
   forward integral u(T) of ``dd``,
 * the arithmetic-geometric mean, behind every complete elliptic value,
 * the depressed cubic ``4 t^3 - g2 t - g3`` solved by the trigonometric
-  (Viete) method for the three-real-root regime,
+  (Viete) method for the three-real-root regime; its solver holds the
+  package's one check of the discriminant g2^3 - 27 g3^2 and raises
+  UnsupportedLatticeError outside that regime,
 * tanh-sinh (double-exponential) quadrature, tolerant of inverse
   square-root endpoint singularities; only the identity suite's
   trigonometric half-period integrals use it.
@@ -145,12 +147,13 @@ def solve_depressed_cubic(g2: float, g3: float) -> tuple[float, float, float]:
 
     Only the positive-discriminant case ``g2^3 - 27 g3^2 > 0`` (three
     distinct real roots) is supported; it forces ``g2 > 0``, which the
-    trigonometric method needs.  The returned triple sums to zero exactly
-    up to roundoff, matching the vanishing quadratic coefficient.
+    trigonometric method needs; anything else raises UnsupportedLatticeError.
+    The returned triple sums to zero exactly up to roundoff, matching the
+    vanishing quadratic coefficient.
     """
     disc = g2 ** 3 - 27.0 * g3 ** 2
     if not disc > 0.0:
-        raise DomainError(f"discriminant g2^3 - 27 g3^2 = {disc:g} is not positive")
+        raise UnsupportedLatticeError(f"discriminant g2^3 - 27 g3^2 = {disc:g} is not positive")
     amp = math.sqrt(g2 / 3.0)
     arg = _THREE_SQRT3 * g3 / (g2 * math.sqrt(g2))
     arg = max(-1.0, min(1.0, arg))

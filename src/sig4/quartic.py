@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .numerics import DomainError, UnsupportedLatticeError
+from .numerics import DomainError
 from .weierstrass import Invariants, lattice, mobius
 
 _ROOT_RTOL = 1e-10
@@ -105,15 +105,12 @@ def solve_quartic_ivp(
     """Solution of (w')^2 = f(w), w(0) = w0, as a callable, plus invariants.
 
     The p-function pole at 0 is the removable point where the solution
-    takes its initial value.  Invariants with non-positive discriminant
-    fall outside the rectangular-lattice machinery and are rejected; the
-    others get their lattice, roots by Viete, once.
+    takes its initial value.  The invariants get their lattice, roots by
+    Viete, once; invariants with non-positive discriminant fall outside the
+    rectangular-lattice machinery, and the cubic solver behind ``lattice``
+    rejects them with UnsupportedLatticeError.
     """
     shift = taylor_shift(q, w0)
     inv = Invariants(quadrinvariant(q), cubinvariant(q))
-    if not inv.discriminant > 0.0:
-        raise UnsupportedLatticeError(
-            f"invariant discriminant {inv.discriminant:g} is not positive"
-        )
     lat, offset, residue = lattice(inv), 0.5 * shift.a2, shift.a3   # f''(w0)/24, f'(w0)/4
     return (lambda z: mobius(z, lat, 0, offset, w0, residue)), inv

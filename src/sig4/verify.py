@@ -26,6 +26,12 @@ routes live here:
 Every route and check takes the pair's ``DDContext``, and its ``y4_lattice``
 where it reads the y4 frame; ``run_suite`` alone builds them, from kappa.
 
+Each sampled row draws from one of two centered cells, both read off the
+dd lattice: the dd cell (omega, |omega'|) or the y4 cell (Omega, |Omega'|)
+= (|omega'|/2, omega/2).  ``SuiteInputs`` states the two pole sets that
+rows avoid, +-i|omega'| for dd and +-Omega/2 for y4_plus; a row that must
+avoid other points names them beside its residual.
+
 Sampling uses a self-contained 64-bit linear congruential generator
 (state' = state * 6364136223846793005 + 1442695040888963407 mod 2^64,
 uniform doubles from the top 53 bits) so that a (kappa, n, seed, tol)
@@ -64,6 +70,7 @@ from .y4 import (
 
 _MARGIN_FRAC = 0.05   # pole-avoidance margin, fraction of the shortest half-period
 _FD_STEP_REAL = 1e-5  # step for the real-axis equation of d
+_QUAD_TOL = 1e-13     # absolute tolerance of the half-period quadratures
 
 
 class Lcg64:
@@ -161,7 +168,7 @@ def _draw(rng: Lcg64, pp: PeriodPair, avoid: tuple[complex, ...] = ()) -> comple
 # the half-periods by trigonometric quadrature, independent of the lattice
 
 
-def _half_period_integral(cos_a: float, sin_a: float, tol: float) -> float:
+def _half_period_integral(cos_a: float, sin_a: float) -> float:
     """int_0^a cos(t/2)/sqrt(cos 2t - cos 2a) dt, given cos a and sin a exactly.
 
     Under sin t = sin a cos theta the inverse square root cancels and the
@@ -182,28 +189,28 @@ def _half_period_integral(cos_a: float, sin_a: float, tol: float) -> float:
         theta = math.exp(s)
         return f(theta) * theta
 
-    head = integrate(f, Interval(0.0, cos_a), tol)
-    rest = integrate(tail, Interval(math.log(cos_a), math.log(0.5 * math.pi)), tol)
+    head = integrate(f, Interval(0.0, cos_a), _QUAD_TOL)
+    rest = integrate(tail, Interval(math.log(cos_a), math.log(0.5 * math.pi)), _QUAD_TOL)
     return (head + rest) / math.sqrt(2.0)
 
 
-def omega_three_ways(ctx: DDContext, tol: float = 1e-12) -> tuple[float, float, float]:
+def omega_three_ways(ctx: DDContext) -> tuple[float, float, float]:
     """The real half-period of the pair ``ctx`` by three independent routes.
 
     closed:       (pi/2) 2F1(1/4,3/4;1;kappa^2), by the AGM closed form
     via_integral: the forward integral at pi/2, by Carlson's R_F
     via_trig:     sqrt(2) int_0^alpha cos(t/2)/sqrt(cos 2t - cos 2 alpha) dt,
-                  alpha = arcsin(kappa), by tanh-sinh quadrature to ``tol``
+                  alpha = arcsin(kappa), by tanh-sinh quadrature to ``_QUAD_TOL``
                   of the substituted integrand (cos alpha, sin alpha = lam, kappa)
     """
     kappa, lam = ctx.modulus
     closed = 0.5 * math.pi * complete_f(kappa, lam)
     via_integral = forward_integral(0.5 * math.pi, ctx)
-    via_trig = math.sqrt(2.0) * _half_period_integral(lam, kappa, tol)
+    via_trig = math.sqrt(2.0) * _half_period_integral(lam, kappa)
     return closed, via_integral, via_trig
 
 
-def omega_prime(ctx: DDContext, tol: float = 1e-12) -> float:
+def omega_prime(ctx: DDContext) -> float:
     """Magnitude of the imaginary half-period of the pair ``ctx``, by quadrature.
 
     Computed as 2 int_0^beta cos(t/2)/sqrt(cos 2t - cos 2 beta) dt with
@@ -213,7 +220,7 @@ def omega_prime(ctx: DDContext, tol: float = 1e-12) -> float:
     ``ctx.lattice.periods.half_imag_mag``, gives the same number.
     """
     kappa, lam = ctx.modulus
-    return 2.0 * _half_period_integral(kappa, lam, tol)
+    return 2.0 * _half_period_integral(kappa, lam)
 
 
 # ----------------------------------------------------------------------
@@ -283,40 +290,52 @@ def check_final_remark(ctx: DDContext, z: complex) -> float:
 class SuiteInputs:
     """What the runners of one ``run_suite`` call read.
 
-    ``ylat`` is the y4 lattice in its own frame (``y4_lattice``);
-    ``rng`` is one stream that the runners consume in registry order;
-    ``omegas`` is computed on first use and shared by the omega rows.
-    A plain class, unlike the NamedTuple value records: ``cached_property`` needs a ``__dict__``.
+    ``cell`` is the dd cell (omega, |omega'|) and ``ycell`` the y4 cell
+    (Omega, |Omega'|); ``DD_POLES`` (+-i|omega'|) and ``Y4_POLES``
+    (+-Omega/2) are the poles of dd and y4_plus in them, as the (reals,
+    imags) that ``sample`` takes.  ``ylat`` is the y4 lattice in its own
+    frame (``y4_lattice``); ``rng`` is one stream that the runners consume
+    in registry order; ``omegas`` is computed on first use and shared by
+    the omega rows.  A plain class, unlike the NamedTuple value records:
+    ``cached_property`` needs a ``__dict__``.
     """
+
+    DD_POLES = ((0.0,), (1.0, -1.0))
+    Y4_POLES = ((0.5, -0.5), (0.0,))
 
     def __init__(self, ctx: DDContext, ylat: Lattice, n: int, rng: Lcg64):
         self.ctx, self.ylat, self.n, self.rng = ctx, ylat, n, rng
+        self.cell, self.ycell = ctx.lattice.periods, y4_periods(ctx)
 
     @cached_property
     def omegas(self) -> tuple[float, float, float]:
-        return omega_three_ways(self.ctx, tol=1e-13)
+        return omega_three_ways(self.ctx)
+
+    def sample(self, cell: PeriodPair, reals, imags, residual, n: int | None = None):
+        """(samples, worst residual, its z) over ``n`` (default ``self.n``) draws from
+        ``cell`` = (hr, hi), away from 0 and each (r hr, i hi), r in ``reals``, i in ``imags``."""
+        hr, hi = cell
+        avoid = tuple(complex(r * hr, i * hi) for r in reals for i in imags)
+        n = self.n if n is None else n
+        worst, worst_z = 0.0, None
+        for _ in range(n):
+            for _attempt in range(128):
+                z = _draw(self.rng, cell, avoid)
+                try:
+                    r = residual(z)
+                except PoleError:
+                    continue
+                break
+            else:
+                raise RuntimeError("sampling kept hitting poles; cell misconfigured?")
+            worst, worst_z = _worse(worst, worst_z, r, z)
+        return n, worst, worst_z
 
 
 def _worse(worst, worst_z, r, z, ties=True):
     """The worse (residual, z); (r, z) wins a tie if ``ties``; NaN beats all but an earlier NaN."""
     keep = worst != worst or (r < worst if ties else r <= worst)
     return (worst, worst_z) if keep else (r, z)
-
-
-def _sampled_max(n, rng, pp, avoid, residual_at):
-    worst, worst_z = 0.0, None
-    for _ in range(n):
-        for _attempt in range(128):
-            z = _draw(rng, pp, avoid)
-            try:
-                r = residual_at(z)
-            except PoleError:
-                continue
-            break
-        else:
-            raise RuntimeError("sampling kept hitting poles; cell misconfigured?")
-        worst, worst_z = _worse(worst, worst_z, r, z)
-    return n, worst, worst_z
 
 
 def _with_unplaced(result, residual):
@@ -328,7 +347,7 @@ def _with_unplaced(result, residual):
 def _run_d_ode(s: SuiteInputs):
     """(d')^2 = 2 (1-d)(d^2 - lam^2) on the real axis, d' by central difference."""
     ctx = s.ctx
-    omega = ctx.lattice.periods.half_real
+    omega = s.cell.half_real
     h = _FD_STEP_REAL
     us = []
     while len(us) < s.n:
@@ -360,13 +379,11 @@ def _run_dd_wp_product(s: SuiteInputs):
     """(1 - dd)(1/3 + p) = kappa^2 / 2 over the cell."""
     ctx = s.ctx
     half_k2 = 0.5 * ctx.modulus.kappa ** 2
-    pp = ctx.lattice.periods
-    poles = (complex(0.0, pp.half_imag_mag), complex(0.0, -pp.half_imag_mag))
 
     def residual(z: complex) -> float:
         return abs((1.0 - dd(z, ctx)) * (1.0 / 3.0 + wp(z, ctx.lattice)) - half_k2)
 
-    return _sampled_max(s.n, s.rng, pp, poles, residual)
+    return s.sample(s.cell, *s.DD_POLES, residual)
 
 
 def _run_omega_trig_vs_forward(s: SuiteInputs):
@@ -382,7 +399,7 @@ def _run_omega_trig_vs_series(s: SuiteInputs):
 def _run_omega_prime_routes(s: SuiteInputs):
     """|omega'| by the trigonometric integral, the AGM closed form and the lattice."""
     kappa, lam = s.ctx.modulus
-    quad = omega_prime(s.ctx, tol=1e-13)
+    quad = omega_prime(s.ctx)
     closed = math.pi / math.sqrt(2.0) * complete_f(lam, kappa)
     lattice = s.ctx.lattice.periods.half_imag_mag
     return 1, max(abs(quad - closed), abs(quad - lattice)), None
@@ -404,26 +421,17 @@ def _y4_ode_residual(y: complex, z: complex, ctx: DDContext, ylat: Lattice) -> f
 
 def _run_y4_ode(s: SuiteInputs):
     """(y')^2 = 8y^4 - 8y^2 + 2 lam^2 for y4_plus, y' through p'."""
-    ctx, pp = s.ctx, y4_periods(s.ctx)
-    half = 0.5 * pp.half_real
-    poles = (complex(half, 0.0), complex(-half, 0.0))
+    ctx = s.ctx
 
     def residual(z: complex) -> float:
         return _y4_ode_residual(y4_plus(z, ctx), z, ctx, s.ylat)
 
-    return _sampled_max(s.n, s.rng, pp, poles, residual)
+    return s.sample(s.ycell, *s.Y4_POLES, residual)
 
 
 def _run_y4_shifts(s: SuiteInputs):
     """Half-period shifts: +Omega negates, +Omega' swaps to the mu_minus branch."""
-    ctx, pp = s.ctx, y4_periods(s.ctx)
-    hr, hi = pp.half_real, pp.half_imag_mag
-    half = 0.5 * hr
-    avoid = tuple(
-        complex(sr * half, si * hi)
-        for sr in (-1.0, 1.0)
-        for si in (-1.0, 0.0, 1.0)
-    )
+    ctx, (hr, hi) = s.ctx, s.ycell
 
     def residual(z: complex) -> float:
         base_p = y4_plus(z, ctx)
@@ -433,7 +441,8 @@ def _run_y4_shifts(s: SuiteInputs):
         r3 = abs(y4_plus(z + complex(hr, hi), ctx) + base_m)
         return max(r1, r2, r3)
 
-    return _sampled_max(s.n, s.rng, pp, avoid, residual)
+    # the poles +-Omega/2 of y4_plus and their images under both shifts
+    return s.sample(s.ycell, (-0.5, 0.5), (-1.0, 0.0, 1.0), residual)
 
 
 def _run_y4_zero_pole(s: SuiteInputs):
@@ -448,19 +457,14 @@ def _run_y4_zero_pole(s: SuiteInputs):
 
 def _run_y4_zero_start(s: SuiteInputs):
     """The zero-shifted translate solves the quartic equation with y(0) = 0."""
-    ctx, pp = s.ctx, y4_periods(s.ctx)
+    ctx = s.ctx
     zero, _ = y4_zeros_poles(ctx)
-    # pole images of the translate in the sampled cell, in the shifted coordinate
-    avoid = tuple(
-        complex(sr * pp.half_real, si * pp.half_imag_mag)
-        for sr in (-1.0, 0.0, 1.0)
-        for si in (-1.0, 1.0)
-    )
 
     def residual(z: complex) -> float:
         return _y4_ode_residual(y4_zero_ivp_solution(z, ctx), z + zero, ctx, s.ylat)
 
-    samples, worst, worst_z = _sampled_max(s.n, s.rng, pp, avoid, residual)
+    # pole images of the translate in the sampled cell, in the shifted coordinate
+    samples, worst, worst_z = s.sample(s.ycell, (-1.0, 0.0, 1.0), (-1.0, 1.0), residual)
     return (samples + 1, *_worse(worst, worst_z, abs(y4_zero_ivp_solution(0.0, ctx)), 0j))
 
 
@@ -468,21 +472,14 @@ def _run_wp_quarter_turn(s: SuiteInputs):
     """P(z) = -4 p(2iz), P on the y4 lattice, plus the exact invariant scaling (2i)^4, (2i)^6."""
     inv, yinv = s.ctx.lattice.invariants, s.ylat.invariants
     scale_res = max(abs(16.0 * inv.g2 - yinv.g2), abs(-64.0 * inv.g3 - yinv.g3))
-    sampled = _sampled_max(s.n, s.rng, y4_periods(s.ctx), (), partial(check_pP, s.ctx, s.ylat))
+    sampled = s.sample(s.ycell, (), (), partial(check_pP, s.ctx, s.ylat))
     return _with_unplaced(sampled, scale_res)
 
 
 def _run_dd_y4_bridge(s: SuiteInputs):
     """dd(2iz) = 1 + kappa (y4p - mu)/(y4p + mu), multiplied out, y4p in its own frame."""
-    pp = y4_periods(s.ctx)
-    half = 0.5 * pp.half_real
-    avoid = (
-        complex(half, 0.0),
-        complex(-half, 0.0),
-        complex(pp.half_real, 0.0),
-        complex(-pp.half_real, 0.0),
-    )
-    return _sampled_max(s.n, s.rng, pp, avoid, partial(check_ddy4, s.ctx, s.ylat))
+    # the poles +-Omega/2 of y4p and +-Omega, where 2iz is a pole of dd
+    return s.sample(s.ycell, (0.5, -0.5, 1.0, -1.0), (0.0,), partial(check_ddy4, s.ctx, s.ylat))
 
 
 def _run_period_transfer(s: SuiteInputs):
@@ -500,37 +497,28 @@ def y4_equation_quartic(lam: float) -> QuarticCoefficients:
     return QuarticCoefficients(8.0, 0.0, -4.0 / 3.0, 0.0, 2.0 * lam * lam)
 
 
-def _run_quartic_ivp_dd(s: SuiteInputs):
-    """General quartic solver applied to the dd equation reproduces dd."""
-    ctx = s.ctx
-    q = dd_equation_quartic(ctx.modulus.lam)
-    solution, inv = solve_quartic_ivp(q, 1.0)
-    ref = ctx.lattice.invariants
+def _quartic_row(s: SuiteInputs, q, w0, ref: Invariants, cell, poles, target):
+    """The general quartic solver for ``q`` from ``w0`` reproduces ``target``
+    over ``cell``, away from ``poles``, and its invariants match ``ref``."""
+    solution, inv = solve_quartic_ivp(q, w0)
     inv_res = max(abs(inv.g2 - ref.g2), abs(inv.g3 - ref.g3))
-    pp = ctx.lattice.periods
-    poles = (complex(0.0, pp.half_imag_mag), complex(0.0, -pp.half_imag_mag))
 
     def residual(z: complex) -> float:
-        return abs(solution(z) - dd(z, ctx))
+        return abs(solution(z) - target(z, s.ctx))
 
-    return _with_unplaced(_sampled_max(min(s.n, 50), s.rng, pp, poles, residual), inv_res)
+    return _with_unplaced(s.sample(cell, *poles, residual, min(s.n, 50)), inv_res)
+
+
+def _run_quartic_ivp_dd(s: SuiteInputs):
+    """General quartic solver applied to the dd equation reproduces dd."""
+    q = dd_equation_quartic(s.ctx.modulus.lam)
+    return _quartic_row(s, q, 1.0, s.ctx.lattice.invariants, s.cell, s.DD_POLES, dd)
 
 
 def _run_quartic_ivp_y4(s: SuiteInputs):
     """General quartic solver applied to the Chebyshev equation reproduces y4_plus."""
-    ctx = s.ctx
-    q = y4_equation_quartic(ctx.modulus.lam)
-    solution, inv = solve_quartic_ivp(q, ctx.mu_plus)
-    ref = s.ylat.invariants
-    inv_res = max(abs(inv.g2 - ref.g2), abs(inv.g3 - ref.g3))
-    pp = y4_periods(ctx)
-    half = 0.5 * pp.half_real
-    poles = (complex(half, 0.0), complex(-half, 0.0))
-
-    def residual(z: complex) -> float:
-        return abs(solution(z) - y4_plus(z, ctx))
-
-    return _with_unplaced(_sampled_max(min(s.n, 50), s.rng, pp, poles, residual), inv_res)
+    q = y4_equation_quartic(s.ctx.modulus.lam)
+    return _quartic_row(s, q, s.ctx.mu_plus, s.ylat.invariants, s.ycell, s.Y4_POLES, y4_plus)
 
 
 #: fixed identity registry: (name, runner), executed and reported in this order
@@ -563,9 +551,10 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
     the row's ``max_residual`` and ``worst_z``, so the row fails.  A runner
     that raises ArithmeticError, ValueError or RuntimeError (PoleError,
     DomainError, ConvergenceError) becomes a failed check with its error and
-    the run goes on; only a context that cannot be built aborts it.  Raises
-    DomainError for n_samples < 1 or a tolerance outside (0, inf), which
-    would pass every row and leave a report strict JSON cannot hold.
+    the run goes on.  Raises DomainError, naming the stage, for a context
+    that cannot be built, and for n_samples < 1 or a tolerance outside
+    (0, inf), which would pass every row and leave a report strict JSON
+    cannot hold.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be at least 1")
@@ -575,11 +564,11 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
     try:
         ctx = make_context(kappa)
     except Exception as exc:
-        raise RuntimeError(f"context construction failed at stage 'dd': {exc}") from exc
+        raise DomainError(f"context construction failed at stage 'dd': {exc}") from exc
     try:
         ylat = y4_lattice(ctx)
     except Exception as exc:
-        raise RuntimeError(f"context construction failed at stage 'y4': {exc}") from exc
+        raise DomainError(f"context construction failed at stage 'y4': {exc}") from exc
 
     suite = SuiteInputs(ctx, ylat, n_samples, Lcg64(seed))
     checks = []

@@ -21,7 +21,10 @@ residue/((p - e_j) - shift) of p that dd, y4 and the quartic solution are.
 Everything an evaluation reads sits in one immutable ``Lattice``, built
 once.  The dd and y4 lattices are built from their closed-form roots; bare
 invariants get theirs from the cubic by Viete, once, in the cached
-``lattice``.
+``lattice``.  Their discriminant is checked only there, by
+``numerics.solve_depressed_cubic``, which raises UnsupportedLatticeError for
+a non-rectangular lattice: ``wp``, ``wp_prime``, ``midpoints`` and
+``half_periods`` on such invariants raise it.
 """
 
 from __future__ import annotations
@@ -74,10 +77,6 @@ class PeriodPair(NamedTuple):
 
 def midpoints(inv: Invariants) -> MidpointTriple:
     """Roots of 4 t^3 - g2 t - g3, descending: the critical values of p."""
-    if not inv.discriminant > 0.0:
-        raise DomainError(
-            f"rectangular lattice needs positive discriminant, got {inv.discriminant:g}"
-        )
     e1, e2, e3 = solve_depressed_cubic(inv.g2, inv.g3)
     return MidpointTriple(e1, e2, e3)
 

@@ -8,10 +8,11 @@ import mpmath
 import pytest
 from click.testing import CliRunner
 
+import sig4.cli as cli
 import sig4.verify as verify
 from sig4.cli import main, parse_complex
 from sig4.dd import d_real, dd, forward_integral, make_context, phi, phi_many
-from sig4.numerics import ConvergenceError
+from sig4.numerics import ConvergenceError, DomainError
 from sig4.y4 import make_y4_context, y4_plus
 
 
@@ -179,6 +180,23 @@ def test_parse_complex_rejects_overflow(literal):
         parse_complex(literal)
 
 
+@pytest.mark.parametrize("literal, real, imag", [
+    ("1", 1.0, 0.0), ("-2.5e-3", -2.5e-3, 0.0), ("1+2i", 1.0, 2.0), ("1 - 2 i", 1.0, -2.0),
+    ("3i", 0.0, 3.0), ("- 3.5i", 0.0, -3.5), (".5-.25i", 0.5, -0.25), ("+1e5i", 0.0, 1e5),
+    ("-0i", 0.0, -0.0),
+])
+def test_parse_complex_accepts(literal, real, imag):
+    # exact parts, down to the sign of a zero
+    z = parse_complex(literal)
+    assert (repr(z.real), repr(z.imag)) == (repr(real), repr(imag))
+
+
+@pytest.mark.parametrize("literal", ["i", "1+i", "1 2i", "inf", "nan", "1e400"])
+def test_parse_complex_rejects(literal):
+    with pytest.raises(click.BadParameter):
+        parse_complex(literal)
+
+
 @pytest.mark.parametrize("args", [
     pytest.param(["eval", "phi", "--kappa", "0.5", "--z", "1e400"], id="eval-phi"),
     pytest.param(["eval", "dd", "--kappa", "0.5", "--z", "1e400"], id="eval-dd"),
@@ -205,6 +223,32 @@ def test_huge_finite_argument_is_an_error(args):
     result = _invoke(["eval", *args, "--z", "1e300"])
     assert result.exit_code == 1, result.output
     assert result.output == "error: argument (1e+300+0j) lies 2^53 or more half-periods out\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "dd", "--kappa", "0.5", "--z", "0.3"],
+    ["periods", "--kappa", "0.5"],
+    ["invariants", "--kappa", "0.5"],
+    ["table", "dd", "--kappa", "0.5", "--from", "0", "--to", "1", "--steps", "2"],
+    ["verify", "--kappa", "0.5", "--n", "2"],
+], ids=lambda args: args[0])
+def test_a_domain_error_leaves_through_the_one_error_exit(args, monkeypatch):
+    def refuse(kappa):
+        raise DomainError("refused")
+
+    monkeypatch.setattr(cli, "make_context", refuse)
+    monkeypatch.setattr(verify, "make_context", refuse)
+    result = _invoke(args)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.endswith("refused\n")
+
+
+def test_help_passes_the_error_exit():
+    # click's Exit is a RuntimeError; the error exit catches DomainError only
+    result = _invoke(["eval", "--help"])
+    assert result.exit_code == 0, result.output
+    assert "Evaluate FUNCTION at one point" in result.stdout
 
 
 def test_non_numeric_sig4_tol_is_usage_error():

@@ -56,10 +56,10 @@ def test_y4_equation_rows_at_small_kappa(kappa):
                                    1.0 - 2.0 ** -53])
 def test_half_period_quadrature_at_both_ends(kappa):
     ctx = make_context(kappa)
-    closed, _, via_trig = omega_three_ways(ctx, tol=1e-13)
+    closed, _, via_trig = omega_three_ways(ctx)
     assert abs(via_trig - closed) <= 2e-14 * closed
     closed_prime = math.pi / math.sqrt(2.0) * complete_f(ctx.modulus.lam, kappa)
-    assert abs(omega_prime(ctx, tol=1e-13) - closed_prime) <= 2e-14 * closed_prime
+    assert abs(omega_prime(ctx) - closed_prime) <= 2e-14 * closed_prime
 
 
 def _perturbed(value):
@@ -229,9 +229,15 @@ def test_omega_routes_computed_once_per_suite(monkeypatch):
     report = run_suite(0.5, 5, 0, 1e-8)
     assert len(calls) == 1
     rows = {c.name: c.max_residual for c in report.checks}
-    closed, via_integral, via_trig = original(make_context(0.5), tol=1e-13)
+    closed, via_integral, via_trig = original(make_context(0.5))
     assert rows["omega-trig-vs-forward"] == abs(via_trig - via_integral)
     assert rows["omega-trig-vs-series"] == abs(via_trig - closed)
+
+
+def test_run_suite_names_the_stage_whose_context_fails():
+    # a DomainError, so the CLI's one error exit reports it
+    with pytest.raises(DomainError, match="context construction failed at stage 'dd'"):
+        run_suite(1.5, 5, 0, 1e-8)
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8])

@@ -8,8 +8,8 @@ import mpmath
 import pytest
 
 from sig4.dd import dd, make_context
-from sig4.numerics import DomainError, PoleError
-from sig4.quartic import solve_quartic_ivp
+from sig4.numerics import DomainError, PoleError, UnsupportedLatticeError
+from sig4.quartic import QuarticCoefficients, solve_quartic_ivp
 from sig4.verify import dd_equation_quartic, y4_lattice
 from sig4.weierstrass import (
     _ANCHOR_ROOTS,
@@ -70,6 +70,22 @@ def test_midpoints_simple():
 def test_midpoints_requires_positive_discriminant():
     with pytest.raises(DomainError):
         midpoints(Invariants(1.0, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wp(0.3, Invariants(1.0, 1.0)),
+    lambda: wp_prime(0.3, Invariants(1.0, 1.0)),
+    lambda: half_periods(Invariants(1.0, 1.0)),
+    lambda: midpoints(Invariants(1.0, 1.0)),
+    # w^4 - 1 has two real and two complex roots: g2 = -1, g3 = 0
+    lambda: solve_quartic_ivp(QuarticCoefficients(1.0, 0.0, 0.0, 0.0, -1.0), 1.0),
+    # the float discriminant of the dd invariants is exactly 0 at kappa = 1e-4
+    lambda: solve_quartic_ivp(dd_equation_quartic(make_context(1e-4).modulus.lam), 1.0),
+], ids=["wp", "wp_prime", "half_periods", "midpoints", "quartic-negative", "quartic-zero"])
+def test_non_rectangular_invariants_are_an_unsupported_lattice(call):
+    # the cubic solver behind ``lattice`` holds the one discriminant check
+    with pytest.raises(UnsupportedLatticeError, match="g2\\^3 - 27 g3\\^2 = .* is not positive"):
+        call()
 
 
 def test_half_periods_against_series_route():
