@@ -20,9 +20,13 @@ function does not take and a tolerance outside (0, inf) are usage errors.
 Every DomainError a command raises leaves through one error exit, the
 ``invoke`` of the group class ``_Sig4Group``, which prints
 ``error: <message>`` to stderr and exits 1; at a pole ``eval`` and
-``table`` print ``pole`` instead.  The environment variable SIG4_TOL
-overrides the default verification tolerance.  ``verify`` prints its
-report even when some identities failed or raised; it exits 1 then.  Only
+``table`` print ``pole`` instead.  click reads the environment variable
+SIG4_TOL as ``verify --tol``, which wins over it; an empty SIG4_TOL means
+the default 1e-8, and ``verify --help`` names the variable.  ``verify``
+writes its report to ``--out``, where ``-`` (the default) means stdout, and
+prints it even when some identities failed or raised; it exits 1 then.
+``table`` and ``periods --csv`` share one CSV form: a header row, then
+fields joined by commas, unquoted, since no field holds a comma.  Only
 ``verify`` loads the identity suite (``sig4.verify``): ``eval``,
 ``table``, ``periods`` and ``invariants`` never execute it.
 """
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import re
 import sys
 
@@ -77,16 +80,6 @@ _UNIT_OPEN = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 _OPTIONS = {"dd": ("and", "--kappa"), "y4plus": ("or", "--kappa", "--lambda"),
             "y4minus": ("or", "--kappa", "--lambda"), "wp": ("and", "--g2", "--g3"),
             "phi": ("and", "--kappa"), "d": ("and", "--kappa")}
-
-
-def _default_tol() -> float:
-    raw = os.environ.get("SIG4_TOL")
-    if raw is None:
-        return 1e-8
-    try:
-        return float(raw)
-    except ValueError:
-        raise click.UsageError(f"SIG4_TOL is not a number: {raw!r}")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -217,49 +210,41 @@ def invariants(kappa):
 @click.option("--imag", type=float, default=0.0, help="fixed imaginary part of z")
 def table(function, kappa, lam, g2, g3, start, stop, steps, imag):
     """CSV table of FUNCTION over a grid: re(z), im(z), re(f), im(f)."""
-    import csv as _csv
-
     _check_options(function, kappa, lam, g2, g3)
     xs = [start + (stop - start) * k / steps for k in range(steps + 1)]
     _require(all(map(math.isfinite, xs)) and math.isfinite(imag),
              "--from, --to and --imag must give finite grid points")
     values = [_evaluate(function, complex(x, imag), kappa, lam, g2, g3) for x in xs]
-    writer = _csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["re(z)", "im(z)", "re(f)", "im(f)"])
+    rows = ["re(z),im(z),re(f),im(f)"]
     for x, value in zip(xs, values):
         if isinstance(value, str):
-            writer.writerow([fmt_real(x), fmt_real(imag), "pole", "pole"])
+            fields = ("pole", "pole")
         else:
             value = complex(value)
-            writer.writerow(
-                [fmt_real(x), fmt_real(imag), fmt_real(value.real), fmt_real(value.imag)]
-            )
+            fields = (fmt_real(value.real), fmt_real(value.imag))
+        rows.append(",".join((fmt_real(x), fmt_real(imag), *fields)))
+    click.echo("\n".join(rows))
 
 
 @main.command()
 @click.option("--kappa", type=_UNIT_OPEN, required=True)
 @click.option("--n", type=click.IntRange(min=1), default=200, help="samples per identity")
 @click.option("--seed", type=int, default=0, help="PRNG seed (default 0)")
-@click.option("--tol", type=float, default=None,
-              help="pass tolerance (default SIG4_TOL or 1e-8)")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
-              help="write the JSON report to a file instead of stdout")
+@click.option("--tol", type=float, envvar="SIG4_TOL", show_envvar=True, default=1e-8,
+              help="pass tolerance (default 1e-8)")
+@click.option("--out", type=click.Path(dir_okay=False, writable=True, allow_dash=True),
+              default="-", help="JSON report file; '-' (the default) is stdout")
 def verify(kappa, n, seed, tol, out):
     """Run the identity suite; exit 0 only if every check passes."""
     import json
 
     from .verify import run_suite
 
-    if tol is None:
-        tol = _default_tol()
     _require(0.0 < tol < math.inf, f"tolerance must be positive and finite, got {tol!r}")
     report = run_suite(kappa, n, seed, tol)
     payload = json.dumps(report.to_json_dict(), indent=2, allow_nan=False)
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    else:
-        click.echo(payload)
+    with click.open_file(out, "w", encoding="utf-8") as handle:
+        click.echo(payload, file=handle)
     sys.exit(0 if report.all_passed else 1)
 
 

@@ -19,6 +19,7 @@ concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -65,14 +66,9 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
 # stored as (fraction-of-length from the nearer endpoint, weight) so the
 # abscissae can be formed without cancellation.
 
-_node_cache: dict[int, list[tuple[float, float]]] = {}
-
-
+@functools.cache
 def _level_nodes(level: int) -> list[tuple[float, float]]:
     """Positive-u abscissae newly introduced at this refinement level."""
-    cached = _node_cache.get(level)
-    if cached is not None:
-        return cached
     h = 0.5 ** level
     if level == 0:
         us = [k * h for k in range(1, int(_UMAX / h) + 1)]
@@ -85,7 +81,6 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
         frac = q / (1.0 + q)  # distance to the nearer endpoint, / length
         weight = 2.0 * math.pi * math.cosh(u) * q / (1.0 + q) ** 2
         nodes.append((frac, weight))
-    _node_cache[level] = nodes
     return nodes
 
 

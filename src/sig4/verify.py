@@ -9,7 +9,8 @@ families.  ``run_suite`` samples the relevant fundamental cells, records
 the worst residual per identity with the sample that gave it and the
 time taken, and assembles a report that is deterministic apart from the
 times.  An identity whose runner raises a numerical error becomes a
-failed row that names the error; the remaining identities still run.
+failed row that names the error, also for a PoleError at a sampled
+point, which is not redrawn; the remaining identities still run.
 
 Production code computes each quantity one way, in closed form, on one
 lattice per modulus: p - e_j as a squared theta quotient on the dd
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 from .dd import DDContext, dd, forward_integral, make_context, phi_many
 from .hypergeometric import complete_f
-from .numerics import DomainError, Interval, PoleError, integrate
+from .numerics import DomainError, Interval, integrate
 from .quartic import QuarticCoefficients, solve_quartic_ivp
 from .weierstrass import (
     Invariants,
@@ -313,22 +314,15 @@ class SuiteInputs:
 
     def sample(self, cell: PeriodPair, reals, imags, residual, n: int | None = None):
         """(samples, worst residual, its z) over ``n`` (default ``self.n``) draws from
-        ``cell`` = (hr, hi), away from 0 and each (r hr, i hi), r in ``reals``, i in ``imags``."""
+        ``cell`` = (hr, hi), away from 0 and each (r hr, i hi), r in ``reals``, i in ``imags``;
+        a PoleError of ``residual`` propagates, so it fails the row."""
         hr, hi = cell
         avoid = tuple(complex(r * hr, i * hi) for r in reals for i in imags)
         n = self.n if n is None else n
         worst, worst_z = 0.0, None
         for _ in range(n):
-            for _attempt in range(128):
-                z = _draw(self.rng, cell, avoid)
-                try:
-                    r = residual(z)
-                except PoleError:
-                    continue
-                break
-            else:
-                raise RuntimeError("sampling kept hitting poles; cell misconfigured?")
-            worst, worst_z = _worse(worst, worst_z, r, z)
+            z = _draw(self.rng, cell, avoid)
+            worst, worst_z = _worse(worst, worst_z, residual(z), z)
         return n, worst, worst_z
 
 
@@ -551,8 +545,9 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
     the row's ``max_residual`` and ``worst_z``, so the row fails.  A runner
     that raises ArithmeticError, ValueError or RuntimeError (PoleError,
     DomainError, ConvergenceError) becomes a failed check with its error and
-    the run goes on.  Raises DomainError, naming the stage, for a context
-    that cannot be built, and for n_samples < 1 or a tolerance outside
+    the run goes on; so does a PoleError at a sampled point, which is never
+    redrawn.  Raises DomainError, naming the stage 'dd', for a modulus whose
+    context cannot be built, and for n_samples < 1 or a tolerance outside
     (0, inf), which would pass every row and leave a report strict JSON
     cannot hold.
     """
@@ -565,12 +560,8 @@ def run_suite(kappa: float, n_samples: int, seed: int, tol: float) -> Verificati
         ctx = make_context(kappa)
     except Exception as exc:
         raise DomainError(f"context construction failed at stage 'dd': {exc}") from exc
-    try:
-        ylat = y4_lattice(ctx)
-    except Exception as exc:
-        raise DomainError(f"context construction failed at stage 'y4': {exc}") from exc
 
-    suite = SuiteInputs(ctx, ylat, n_samples, Lcg64(seed))
+    suite = SuiteInputs(ctx, y4_lattice(ctx), n_samples, Lcg64(seed))
     checks = []
     for name, runner in REGISTRY:
         began = time.perf_counter()

@@ -133,6 +133,23 @@ def test_kappa_and_lambda_together_are_a_usage_error(command, function):
     assert f"{function} takes --kappa or --lambda, not both" in result.output
 
 
+def test_eval_prints_pole_at_a_pole():
+    half_imag_mag = make_context(0.5).lattice.periods.half_imag_mag
+    for args in (["wp", "--g2", "1", "--g3", "0", "--z", "0"],
+                 ["dd", "--kappa", "0.5", "--z", f"0+{half_imag_mag!r}i"]):
+        result = _invoke(["eval", *args])
+        assert (result.exit_code, result.stdout) == (0, "pole\n"), result.output
+
+
+def test_table_prints_pole_rows():
+    result = _invoke(["table", "wp", "--g2", "1", "--g3", "0", "--from", "0", "--to", "1",
+                      "--steps", "2"])
+    assert result.exit_code == 0, result.output
+    lines = result.stdout.splitlines()
+    assert lines[:2] == ["re(z),im(z),re(f),im(f)", "0.0,0.0,pole,pole"]
+    assert len(lines) == 4 and "pole" not in lines[2] + lines[3]
+
+
 def test_periods_csv_agrees_with_the_plain_output():
     plain = _invoke(["periods", "--kappa", "0.5"])
     csv = _invoke(["periods", "--kappa", "0.5", "--csv"])
@@ -254,7 +271,39 @@ def test_help_passes_the_error_exit():
 def test_non_numeric_sig4_tol_is_usage_error():
     result = _invoke(["verify", "--kappa", "0.5", "--n", "2"], env={"SIG4_TOL": "tight"})
     assert result.exit_code == 2
-    assert "SIG4_TOL is not a number" in result.output
+    assert "'tight' is not a valid float" in result.output
+
+
+@pytest.mark.parametrize("env, args, tol", [
+    ({"SIG4_TOL": "1e-3"}, [], 1e-3),
+    ({"SIG4_TOL": "1e-3"}, ["--tol", "1e-5"], 1e-5),   # the option wins
+    ({"SIG4_TOL": ""}, [], 1e-8),                      # empty means the default
+])
+def test_sig4_tol_sets_the_report_tolerance(env, args, tol):
+    result = _invoke(["verify", "--kappa", "0.5", "--n", "2", *args], env=env)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["tol"] == tol
+
+
+def test_verify_help_names_sig4_tol():
+    result = _invoke(["verify", "--help"])
+    assert result.exit_code == 0 and "env var: SIG4_TOL" in result.stdout, result.output
+
+
+def test_verify_out_writes_the_report_that_stdout_gets(tmp_path):
+    def untimed(text):
+        data = json.loads(text)
+        del data["wall_time_ms"]
+        for row in data["checks"]:
+            del row["elapsed_ms"]
+        return data
+
+    path = tmp_path / "r.json"
+    written = _invoke(["verify", "--kappa", "0.5", "--n", "2", "--out", str(path)])
+    printed = _invoke(["verify", "--kappa", "0.5", "--n", "2", "--out", "-"])
+    assert written.exit_code == printed.exit_code == 0, (written.output, printed.output)
+    assert written.stdout == ""
+    assert untimed(path.read_text(encoding="utf-8")) == untimed(printed.stdout)
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-8"])

@@ -9,7 +9,7 @@ import pytest
 import sig4.verify as verify
 from sig4.dd import make_context
 from sig4.hypergeometric import complete_f
-from sig4.numerics import ConvergenceError, DomainError
+from sig4.numerics import ConvergenceError, DomainError, PoleError
 from sig4.verify import (
     REGISTRY_NAMES,
     Lcg64,
@@ -170,6 +170,19 @@ def test_raising_runner_becomes_failed_row(monkeypatch):
     assert all("error" not in row for row in rows if row["passed"])
 
 
+def test_pole_at_a_sampled_point_fails_its_row(monkeypatch):
+    # a sampled PoleError is not redrawn: it fails the row under its own name
+    def at_a_pole(z, ctx):
+        raise PoleError(f"dd has a pole at {z!r}")
+
+    monkeypatch.setattr(verify, "dd", at_a_pole)
+    rows = {c.name: c for c in run_suite(0.5, 20, 0, 1e-8).checks}
+    row = rows["dd-wp-product"]
+    assert not row.passed and (row.samples, row.max_residual) == (0, None)
+    assert row.error.startswith("PoleError: dd has a pole at "), row.error
+    assert rows["y4-ode"].passed
+
+
 def _without_times(report) -> str:
     data = report.to_json_dict()
     del data["wall_time_ms"]
@@ -238,6 +251,11 @@ def test_run_suite_names_the_stage_whose_context_fails():
     # a DomainError, so the CLI's one error exit reports it
     with pytest.raises(DomainError, match="context construction failed at stage 'dd'"):
         run_suite(1.5, 5, 0, 1e-8)
+
+
+def test_run_suite_rejects_zero_samples():
+    with pytest.raises(DomainError, match="^n_samples must be at least 1$"):
+        run_suite(0.5, 0, 0, 1e-8)
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8])
